@@ -113,59 +113,35 @@ class _Simulator:
         self, node: str, to_host: int, to_disk: Optional[int]
     ) -> bool:
         """Attempt one move; returns False (state untouched) if it does
-        not fit."""
+        not fit.
+
+        The move runs in a state transaction rather than undoing itself
+        arithmetically: re-reserving the old flows can fail (a link on
+        the old path went down since) where slot restore cannot.
+        """
         from_host, from_disk = self.location[node]
         if (from_host, from_disk) == (to_host, to_disk):
             return True
         record = self.topology.node(node)
-        # release the node's current flows and occupancy
-        for path, bw in self._flows(node, from_host):
-            self.state.release_path(path, bw)
-        if record.is_vm:
-            self.state.unplace_vm(
-                from_host, self.state.reserved_vcpus(record), record.mem_gb
-            )
-        else:
-            self.state.unplace_volume(from_disk, record.size_gb)
-        # try to take up residence at the target
+        state = self.state
         try:
-            if record.is_vm:
-                self.state.place_vm(
-                    to_host, self.state.reserved_vcpus(record), record.mem_gb
-                )
-            else:
-                if to_disk is None:
-                    raise CapacityError("volume move needs a disk")
-                self.state.place_volume(to_disk, record.size_gb)
-            reserved = []
-            try:
-                for path, bw in self._flows(node, to_host):
-                    self.state.reserve_path(path, bw)
-                    reserved.append((path, bw))
-            except CapacityError:
-                for path, bw in reserved:
-                    self.state.release_path(path, bw)
+            with state.transaction():
+                # release the flows toward every neighbor, move the
+                # occupancy, re-reserve the flows from the target
+                for path, bw in self._flows(node, from_host):
+                    state.release_path(path, bw)
                 if record.is_vm:
-                    self.state.unplace_vm(
-                        to_host,
-                        self.state.reserved_vcpus(record),
-                        record.mem_gb,
-                    )
+                    vcpus = state.reserved_vcpus(record)
+                    state.unplace_vm(from_host, vcpus, record.mem_gb)
+                    state.place_vm(to_host, vcpus, record.mem_gb)
                 else:
-                    self.state.unplace_volume(to_disk, record.size_gb)
-                raise
+                    if to_disk is None:
+                        raise CapacityError("volume move needs a disk")
+                    state.unplace_volume(from_disk, record.size_gb)
+                    state.place_volume(to_disk, record.size_gb)
+                for path, bw in self._flows(node, to_host):
+                    state.reserve_path(path, bw)
         except CapacityError:
-            # put the node back where it was
-            if record.is_vm:
-                self.state.place_vm(
-                    from_host,
-                    self.state.reserved_vcpus(record),
-                    record.mem_gb,
-                )
-            else:
-                self.state.place_volume(from_disk, record.size_gb)
-            for path, bw in self._flows(node, from_host):
-                self.state.reserve_path(path, bw)
             return False
         self.location[node] = (to_host, to_disk)
         return True

@@ -43,7 +43,8 @@ from repro import obs
 from repro.core.base import PlacementResult
 from repro.core.objective import Objective
 from repro.core.topology import ApplicationTopology
-from repro.errors import DeadlineError, PlacementError, ReproError
+from repro.errors import DeadlineError, PlacementError
+from repro.faults.retry import retry_call
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import
     from repro.core.migration import MigrationStep
@@ -511,7 +512,7 @@ def remove_vms_from_tier(
     through the fault injector (service ``"ostro"``, method
     ``"scale_in"``), retried under the scheduler's
     :class:`~repro.faults.retry.RetryPolicy` when one is installed, and
-    rolled back bit-exactly on any :class:`~repro.errors.ReproError`.
+    rolled back bit-exactly on any failure.
     No search runs: shrinking never needs placement work.
 
     Victim selection is fully deterministic: members sort by
@@ -567,8 +568,7 @@ def remove_vms_from_tier(
     ]
 
     def release_once() -> None:
-        baseline = ostro.state.snapshot()
-        try:
+        with ostro.state.transaction(app=app_name):
             if ostro.injector is not None:
                 ostro.injector.before_api_call("ostro", "scale_in")
             for link in released_links:
@@ -583,25 +583,10 @@ def remove_vms_from_tier(
                     ostro.state.reserved_vcpus(node),
                     node.mem_gb,
                 )
-        except ReproError as exc:
-            ostro.state.restore(baseline)
-            rec = obs.get_recorder()
-            if rec.enabled:
-                rec.inc("ostro_rollbacks_total")
-                rec.event("rollback", app=app_name, reason=str(exc))
-            raise
 
-    if ostro.retry_policy is not None:
-        from repro.faults.retry import retry_call
-
-        retry_call(
-            ostro.retry_policy,
-            release_once,
-            service="ostro",
-            method="scale_in",
-        )
-    else:
-        release_once()
+    retry_call(
+        ostro.retry_policy, release_once, service="ostro", method="scale_in"
+    )
 
     released_ubw = 0.0
     for link in released_links:

@@ -30,6 +30,7 @@ from repro.datacenter.model import Cloud
 from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from repro.errors import PlacementError, ReproError
+from repro.faults.retry import retry_call
 
 if TYPE_CHECKING:  # pragma: no cover - avoids circular imports
     from repro.core.migration import MigrationPlan
@@ -199,29 +200,24 @@ class Ostro:
         reservations for every link, then records the application. The
         placement must cover every node of the topology.
 
-        The commit is transactional: the state is snapshotted first and
-        restored bit-exactly on any :class:`~repro.errors.ReproError`
-        (capacity race, injected fault, ...). With a
-        :attr:`retry_policy` installed, transient commit faults are
-        retried under it; each failed attempt rolls back before the next
-        one starts.
+        The commit is transactional: each attempt runs inside a
+        :meth:`~repro.datacenter.state.DataCenterState.transaction`, so
+        any failure (capacity race, injected fault, ...) leaves the
+        state bit-exactly as it was. With a :attr:`retry_policy`
+        installed, transient commit faults are retried under it; each
+        failed attempt rolls back before the next one starts.
         """
         missing = topology.nodes.keys() - placement.assignments.keys()
         if missing:
             raise PlacementError(
                 f"placement does not cover nodes: {sorted(missing)}"
             )
-        if self.retry_policy is not None:
-            from repro.faults.retry import retry_call
-
-            retry_call(
-                self.retry_policy,
-                lambda: self._commit_once(topology, placement),
-                service="ostro",
-                method="commit",
-            )
-        else:
-            self._commit_once(topology, placement)
+        retry_call(
+            self.retry_policy,
+            lambda: self._commit_once(topology, placement),
+            service="ostro",
+            method="commit",
+        )
         self.applications[topology.name] = DeployedApplication(
             topology=topology.copy(), placement=placement
         )
@@ -237,35 +233,27 @@ class Ostro:
     ) -> None:
         """One commit attempt: apply all reservations or roll back."""
         rec = obs.get_recorder()
-        baseline = self.state.snapshot()
-        try:
-            with rec.span("ostro.commit", app=topology.name):
-                if self.injector is not None:
-                    self.injector.before_api_call("ostro", "commit")
-                for name in sorted(topology.nodes):
-                    node = topology.node(name)
-                    assignment = placement.assignments[name]
-                    if node.is_vm:
-                        self.state.place_vm(
-                            assignment.host,
-                            self.state.reserved_vcpus(node),
-                            node.mem_gb,
-                        )
-                    else:
-                        self.state.place_volume(assignment.disk, node.size_gb)
-                for link in topology.links:
-                    path = self.resolver.path(
-                        placement.host_of(link.a), placement.host_of(link.b)
+        with self.state.transaction(app=topology.name), rec.span(
+            "ostro.commit", app=topology.name
+        ):
+            if self.injector is not None:
+                self.injector.before_api_call("ostro", "commit")
+            for name in sorted(topology.nodes):
+                node = topology.node(name)
+                assignment = placement.assignments[name]
+                if node.is_vm:
+                    self.state.place_vm(
+                        assignment.host,
+                        self.state.reserved_vcpus(node),
+                        node.mem_gb,
                     )
-                    self.state.reserve_path(path, link.bw_mbps)
-        except ReproError as exc:
-            self.state.restore(baseline)
-            if rec.enabled:
-                rec.inc("ostro_rollbacks_total")
-                rec.event(
-                    "rollback", app=topology.name, reason=str(exc)
+                else:
+                    self.state.place_volume(assignment.disk, node.size_gb)
+            for link in topology.links:
+                path = self.resolver.path(
+                    placement.host_of(link.a), placement.host_of(link.b)
                 )
-            raise
+                self.state.reserve_path(path, link.bw_mbps)
 
     def remove(self, app_name: str) -> None:
         """Release every reservation of a committed application."""

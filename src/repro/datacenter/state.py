@@ -19,14 +19,25 @@ unchanged.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
+from contextlib import contextmanager
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from repro import obs
 from repro.datacenter.model import Cloud
 
 if TYPE_CHECKING:  # pragma: no cover - layering: core imports datacenter
     from repro.core.topology import VM
 from repro.datacenter.resources import EPSILON
-from repro.errors import CapacityError, DataCenterError
+from repro.errors import CapacityError, DataCenterError, ReproError
 
 
 class _DownHost:
@@ -118,7 +129,12 @@ class DataCenterState:
         return node.effective_vcpus(self.best_effort_cpu_factor)
 
     def snapshot(self) -> Tuple[Tuple[float, ...], ...]:
-        """An immutable snapshot, useful for equality checks in tests."""
+        """The five free arrays as immutable tuples.
+
+        What :meth:`transaction` saves and :meth:`restore` loads; also a
+        bit-exact state fingerprint (the conservation baseline, the
+        shards' masked views, equality checks in tests).
+        """
         return (
             tuple(self.free_cpu),
             tuple(self.free_mem),
@@ -128,14 +144,14 @@ class DataCenterState:
         )
 
     def restore(self, snapshot: Tuple[Tuple[float, ...], ...]) -> None:
-        """Restore the free arrays from a :meth:`snapshot`, bit-exactly.
+        """Load the free arrays from a :meth:`snapshot`, bit-exactly.
 
-        The transactional rollback primitive: a caller snapshots before a
-        multi-step mutation and restores on failure, guaranteeing the
-        pre-transaction state byte for byte (arithmetic undo can drift in
-        the last float bit; slot restore cannot). The snapshot does *not*
-        capture down-element bookkeeping, so a transaction must not span a
-        :meth:`fail_host` / :meth:`restore_host` boundary.
+        Slot assignment, not arithmetic: undoing ``x - a`` with ``+ a``
+        can drift in the last float bit, this cannot. Rolling back a
+        failed mutation is :meth:`transaction`'s job; OST009 confines
+        direct calls to the state, the coordinator's batch rollback and
+        the shards' masked-view load. The snapshot does *not* capture
+        down-element bookkeeping (:meth:`transaction` saves it as well).
         """
         cpu, mem, disk, bw, units = snapshot
         self.free_cpu[:] = cpu
@@ -144,6 +160,38 @@ class DataCenterState:
         self.free_bw[:] = bw
         self.host_units[:] = [int(u) for u in units]
         self.version += 1
+
+    @contextmanager
+    def transaction(self, app: Optional[str] = None) -> Iterator[None]:
+        """All-or-nothing scope for a multi-step mutation.
+
+        The one rollback mechanism: *any* exception leaving the block --
+        scheduling failure, injected fault, exhausted retries, or a
+        non-library error from a wedged surrogate -- puts the state back
+        bit-exactly (free arrays and down-element records) and
+        propagates. Whole-state snapshots make nesting trivial: an outer
+        transaction restores over whatever an inner one left.
+
+        Args:
+            app: when given, a rolled-back :class:`ReproError` counts in
+                ``ostro_rollbacks_total`` and emits one ``rollback``
+                event naming this application.
+        """
+        saved = self.snapshot()
+        down_hosts = {h: r.copy() for h, r in self._down_hosts.items()}
+        down_links = dict(self._down_links)
+        try:
+            yield
+        except BaseException as exc:
+            self.restore(saved)
+            self._down_hosts = down_hosts
+            self._down_links = down_links
+            if app is not None and isinstance(exc, ReproError):
+                rec = obs.get_recorder()
+                if rec.enabled:
+                    rec.inc("ostro_rollbacks_total")
+                    rec.event("rollback", app=app, reason=str(exc))
+            raise
 
     # ------------------------------------------------------------------
     # queries

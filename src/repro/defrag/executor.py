@@ -8,14 +8,12 @@ step like any other surrogate API call:
   (service ``"defrag"``, method ``"migrate"``) and, when the scheduler
   carries a :class:`~repro.faults.retry.RetryPolicy`, retried under it
   -- transient faults back off and retry, permanent faults abort;
-* the availability state is snapshotted immediately before the step and
-  restored bit-exactly if *anything* goes wrong mid-step, so a fault can
-  never leak a half-moved VM;
+* the step runs inside a state transaction, so *anything* going wrong
+  mid-step restores the pre-step state bit-exactly and a fault can never
+  leak a half-moved VM;
 * a source or target host that crashed since planning aborts the step
-  *before* any capacity is touched (crashed hosts belong to evacuation,
-  and releasing capacity on a down host would absorb into the
-  down-element record, which snapshots do not cover -- see
-  docs/ROBUSTNESS.md, "the rollback protocol");
+  *before* any capacity is touched (crashed hosts belong to evacuation
+  -- see docs/ROBUSTNESS.md, "the rollback protocol");
 * after every successful step the application's *recorded* placement is
   updated to the node's actual position (bounce parking spots included),
   so :meth:`repro.core.scheduler.Ostro.verify_state` leak audits stay
@@ -130,11 +128,10 @@ class DefragExecutor:
             if self._endpoint_down(sim, step):
                 self._abort(migration.app_name, "endpoint host down")
                 return False
-            before = state.snapshot()
             try:
-                self._gated_move(sim, step)
+                with state.transaction():
+                    self._gated_move(sim, step)
             except ReproError as exc:
-                state.restore(before)
                 if rec.enabled:
                     rec.inc("ostro_defrag_rollbacks_total")
                     rec.event(
@@ -213,15 +210,9 @@ class DefragExecutor:
                     "re-plan against the current state"
                 )
 
-        if ostro.retry_policy is not None:
-            retry_call(
-                ostro.retry_policy,
-                attempt,
-                service="defrag",
-                method="migrate",
-            )
-        else:
-            attempt()
+        retry_call(
+            ostro.retry_policy, attempt, service="defrag", method="migrate"
+        )
 
     def _abort(self, app_name: str, reason: str) -> None:
         rec = obs.get_recorder()

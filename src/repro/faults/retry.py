@@ -87,7 +87,7 @@ class RetryPolicy:
 
 
 def retry_call(
-    policy: RetryPolicy,
+    policy: Optional[RetryPolicy],
     fn: Callable[[], T],
     service: str = "unknown",
     method: str = "call",
@@ -95,7 +95,10 @@ def retry_call(
     """Invoke ``fn`` under the policy; see the module docstring.
 
     Args:
-        policy: retry configuration (owns the jitter RNG).
+        policy: retry configuration (owns the jitter RNG); ``None``
+            means no retrying -- ``fn`` runs once and its error, if any,
+            propagates -- so call sites with an optional policy do not
+            branch on it.
         fn: zero-argument callable performing the API call.
         service: label for telemetry and error messages ("nova", ...).
         method: label for telemetry and error messages.
@@ -107,6 +110,8 @@ def retry_call(
         RetryError: when the attempt or time budget is exhausted; the
             last :class:`TransientAPIError` is chained as ``__cause__``.
     """
+    if policy is None:
+        return fn()
     rec = obs.get_recorder()
     total_backoff_s = 0.0
     attempt = 0

@@ -8,13 +8,13 @@ each piece where Ostro decided -- completing the Fig. 1 pipeline:
 template -> wrapper -> Ostro -> annotated template -> Heat engine ->
 Nova/Cinder.
 
-Deployment follows a reserve->commit protocol: the engine snapshots the
-availability state before touching it, applies every resource, and
-registers the stack only when all of them succeeded. *Any* library error
-mid-stack -- a scheduling failure, an injected API fault, an exhausted
-retry budget -- restores the snapshot bit-exactly, so a failed deploy can
-never leak capacity. Optional fault injection and retry/backoff hooks
-(see :mod:`repro.faults`) cover every Nova/Cinder call the engine makes.
+Deployment follows a reserve->commit protocol: the engine applies every
+resource inside one state transaction and registers the stack only when
+all of them succeeded. *Any* error mid-stack -- a scheduling failure, an
+injected API fault, an exhausted retry budget, a wedged surrogate --
+rolls the state back bit-exactly, so a failed deploy can never leak
+capacity. Optional fault injection and retry/backoff hooks (see
+:mod:`repro.faults`) cover every Nova/Cinder call the engine makes.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro import obs
 from repro.datacenter.state import DataCenterState
-from repro.errors import ReproError, SchedulerError, TemplateError
+from repro.errors import SchedulerError, TemplateError
+from repro.faults.retry import retry_call
 from repro.heat.template import (
     SERVER_TYPE,
     VOLUME_TYPE,
@@ -97,26 +97,15 @@ class HeatEngine:
         self, service: str, method: str, fn: Callable[[], Any]
     ) -> Any:
         """Issue one surrogate API call, retried under the policy if set."""
-        if self.retry is None:
-            return fn()
-        from repro.faults.retry import retry_call
-
         return retry_call(self.retry, fn, service=service, method=method)
-
-    def _rolled_back(self, stack_name: str, exc: ReproError) -> None:
-        rec = obs.get_recorder()
-        if rec.enabled:
-            rec.inc("ostro_rollbacks_total")
-            rec.event("rollback", app=stack_name, reason=str(exc))
 
     def deploy(self, template, stack_name: str = "stack") -> Stack:
         """Create every resource of the template; transactional.
 
-        Reserve->commit: the availability state is snapshotted first and
-        the stack is registered only after every resource succeeded. Any
-        :class:`~repro.errors.ReproError` mid-stack -- scheduling
-        failure, injected fault, exhausted retries -- restores the
-        snapshot bit-exactly before re-raising.
+        Reserve->commit: the resources are created inside a
+        :meth:`~repro.datacenter.state.DataCenterState.transaction` and
+        the stack is registered only after every one succeeded, so any
+        failure mid-stack leaves state and registry as they were.
         """
         parsed = parse_template(template)
         resources = parsed.get("resources", {})
@@ -126,8 +115,7 @@ class HeatEngine:
             )
         stack = Stack(name=stack_name)
         created: List[Tuple[str, Any, Any]] = []
-        baseline = self.state.snapshot()
-        try:
+        with self.state.transaction(app=stack_name):
             for res_name, resource in resources.items():
                 res_type = resource.get("type")
                 properties = resource.get("properties", {})
@@ -154,15 +142,6 @@ class HeatEngine:
                     )
                     stack.volumes[res_name] = record
                     created.append(("volume", record, request))
-        except ReproError as exc:
-            self.state.restore(baseline)
-            self._rolled_back(stack_name, exc)
-            raise
-        except BaseException:
-            # Unexpected errors (malformed template properties, injected
-            # non-library faults) must not leak reserved capacity either.
-            self.state.restore(baseline)
-            raise
         stack.template = parsed
         stack._requests = created
         self.stacks[stack_name] = stack
@@ -178,11 +157,10 @@ class HeatEngine:
         Raises:
             TemplateError: when no stack of that name is deployed.
         """
-        stack = self.stacks.pop(stack_name, None)
+        stack = self.stacks.get(stack_name)
         if stack is None:
             raise TemplateError(f"unknown stack: {stack_name!r}")
-        baseline = self.state.snapshot()
-        try:
+        with self.state.transaction(app=stack_name):
             for kind, record, request in reversed(stack._requests):
                 if kind == "server":
                     self._call(
@@ -200,25 +178,17 @@ class HeatEngine:
                             v, r
                         ),
                     )
-        except ReproError as exc:
-            self.state.restore(baseline)
-            self.stacks[stack_name] = stack
-            self._rolled_back(stack_name, exc)
-            raise
-        except BaseException:
-            self.state.restore(baseline)
-            self.stacks[stack_name] = stack
-            raise
+        del self.stacks[stack_name]
 
     def update_stack(self, template, stack_name: str) -> Stack:
         """Replace a deployed stack with a new template, transactionally.
 
         The old resources are released first (so the new deployment can
         reuse their capacity). If anything fails -- the deletion, the new
-        deployment, an injected fault -- the pre-update state snapshot is
-        restored and the old stack record re-registered, with no API
-        calls on the rollback path (pure state restoration cannot itself
-        fail under injection).
+        deployment, an injected fault -- the enclosing transaction puts
+        the pre-update state back and the old stack record stays
+        registered, with no API calls on the rollback path (pure state
+        restoration cannot itself fail under injection).
 
         Raises:
             TemplateError: when no stack of that name is deployed.
@@ -226,19 +196,14 @@ class HeatEngine:
         old = self.stacks.get(stack_name)
         if old is None:
             raise TemplateError(f"unknown stack: {stack_name!r}")
-        baseline = self.state.snapshot()
-        try:
-            self.delete_stack(stack_name)
-            return self.deploy(template, stack_name)
-        except ReproError as exc:
-            self.state.restore(baseline)
-            self.stacks[stack_name] = old
-            self._rolled_back(stack_name, exc)
-            raise
-        except BaseException:
-            self.state.restore(baseline)
-            self.stacks[stack_name] = old
-            raise
+        with self.state.transaction(app=stack_name):
+            try:
+                self.delete_stack(stack_name)
+                return self.deploy(template, stack_name)
+            finally:
+                # no-op once the new stack is registered; re-registers
+                # the old record when the deploy failed after the delete
+                self.stacks.setdefault(stack_name, old)
 
     @staticmethod
     def _server_request(

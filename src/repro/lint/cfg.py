@@ -3,8 +3,7 @@
 One :class:`CFG` per function: nodes are simple statements plus three
 synthetic markers (entry, normal exit, exceptional exit), edges are the
 ordinary successor relation plus *exception edges*. The graph is the
-substrate for OST009's transaction-discipline path check and for the
-reaching-definitions pass the taint extraction runs
+substrate for the reaching-definitions pass the taint extraction runs
 (:mod:`repro.lint.symbols`).
 
 Exception modeling (deliberate precision choices, shared with the docs):
@@ -16,13 +15,12 @@ Exception modeling (deliberate precision choices, shared with the docs):
   (an exception there provably crosses a declared handler boundary) and
   for explicit ``raise`` statements anywhere. An unguarded call sequence
   raising out of a function is not modeled -- OST008's
-  no-silent-except contract governs where handlers must exist; OST009
-  audits the handlers that do.
+  no-silent-except contract governs where handlers must exist.
 * A handler catches everything only when it is bare or names
   ``Exception``/``BaseException``; any narrower handler also propagates
   outward (the "unexpected exception" path).
 * ``finally`` bodies are instantiated twice -- once on the normal
-  continuation, once on the propagation continuation -- so a restore
+  continuation, once on the propagation continuation -- so a binding
   inside a ``finally`` lies on every exceptional path, exactly as at
   runtime.
 
@@ -34,7 +32,7 @@ statements (3.10+) fan out one edge per case plus a fall-through.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.astutils import bound_names
 
@@ -198,23 +196,6 @@ class CFG:
         for node in self.nodes:
             if node.kind == "stmt":
                 yield node
-
-    def reachable_from(
-        self, starts: Sequence[int], blocked: FrozenSet[int] = frozenset()
-    ) -> Set[int]:
-        """Node indices reachable from ``starts`` without *entering* any
-        node in ``blocked`` (start nodes themselves are traversed)."""
-        seen: Set[int] = set()
-        stack = [s for s in starts]
-        while stack:
-            idx = stack.pop()
-            if idx in seen:
-                continue
-            seen.add(idx)
-            for nxt in self.nodes[idx].succ:
-                if nxt not in blocked and nxt not in seen:
-                    stack.append(nxt)
-        return seen
 
     def reaching_definitions(self) -> Dict[int, Dict[str, Set[int]]]:
         """Classic forward may-analysis at statement granularity.

@@ -1,211 +1,59 @@
 """Transaction-discipline rule: OST009.
 
-The admission/recovery layers follow a snapshot/restore protocol: take a
-``state.snapshot()``, mutate shared state, and on failure restore the
-snapshot before the exception leaves the transaction. PR 4's batched
-admission and the heat/openstack facades all rely on it -- a snapshot
-that is *not* restored on some exception path leaks half-applied
-placements into the coordinator state, exactly the composed-path failure
-mode the flow rules exist to catch.
-
-The check is a CFG path condition, not a pattern match. For every local
-``v = <expr>.snapshot()``:
-
-* build the function's CFG (:mod:`repro.lint.cfg`), whose exception
-  edges model *declared* failure paths -- may-raise statements inside
-  ``try`` bodies, explicit ``raise``, narrow handlers also propagating
-  outward, ``finally`` bodies on both continuations;
-* delete every node that restores ``v`` (a call to ``restore``/
-  ``rollback_to`` receiving ``Name(v)``);
-* flag when, in the remaining graph, some state-*mutating* call is
-  reachable from the snapshot AND the exceptional exit is reachable from
-  that mutation. Read-only snapshot uses (scratch-state probing) and
-  restores placed in ``finally`` blocks therefore stay clean.
+Rollback has one mechanism, :meth:`repro.datacenter.state.
+DataCenterState.transaction`, which restores on *every* exception by
+construction. What is left to enforce is that no second one grows
+beside it: only the state itself and two callers that load a snapshot
+for a reason other than undoing an exception may call ``.restore(...)``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, FrozenSet, Iterator, List, Optional, Set
+from typing import TYPE_CHECKING, Iterator
 
-from repro.lint.astutils import (
-    COMPOUND_NODES,
-    FUNCTION_NODES,
-    own_expressions,
-)
-from repro.lint.cfg import CFG
+from repro.lint.astutils import walk_scoped
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.registry import Rule, register
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lint.engine import FileContext
 
-#: Packages whose snapshot/restore pairing is enforced.
-TRANSACTION_PACKAGES = (
-    "repro.faults",
-    "repro.service",
-    "repro.openstack",
-    "repro.heat",
-)
+STATE_MODULE = "repro.datacenter.state"  # owns restore(); exempt
 
-#: Calls that restore a snapshot when passed its variable.
-RESTORE_METHODS = frozenset({"restore", "rollback_to"})
-
-#: Domain verbs that mutate shared scheduler/datacenter state. A
-#: restore-free exception path only matters after one of these ran --
-#: a snapshot taken purely for read-only probing never needs a restore.
-STATE_MUTATORS = frozenset(
-    {
-        "admit",
-        "apply",
-        "assign",
-        "commit",
-        "create_server",
-        "create_stack",
-        "create_volume",
-        "delete_server",
-        "delete_stack",
-        "delete_volume",
-        "deploy",
-        "evacuate",
-        "forget_app",
-        "migrate",
-        "place",
-        "place_vm",
-        "place_with_degradation",
-        "release",
-        "remove",
-        "reserve",
-        "update_stack",
-    }
-)
-
-
-def _snapshot_var(stmt: ast.stmt) -> Optional[str]:
-    """The bound name of ``v = <expr>.snapshot()``, else None."""
-    if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-        return None
-    target = stmt.targets[0]
-    if not isinstance(target, ast.Name):
-        return None
-    value = stmt.value
-    if (
-        isinstance(value, ast.Call)
-        and isinstance(value.func, ast.Attribute)
-        and value.func.attr == "snapshot"
-    ):
-        return target.id
-    return None
-
-
-def _scan(stmt: ast.AST) -> Iterator[ast.AST]:
-    """AST nodes a CFG node itself evaluates.
-
-    Compound heads (For/If/While/Try/...) carry the whole construct as
-    their ``stmt``; walking it would attribute body calls to the head,
-    so only the head's own expressions are scanned -- body statements
-    have CFG nodes of their own.
-    """
-    if isinstance(
-        stmt,
-        COMPOUND_NODES
-        + (ast.ExceptHandler, getattr(ast, "Match", ast.Try)),
-    ):
-        for expr in own_expressions(stmt):
-            yield from ast.walk(expr)
-    else:
-        yield from ast.walk(stmt)
-
-
-def _restores(stmt: ast.stmt, var: str) -> bool:
-    """True when the statement restores the snapshot variable."""
-    for node in _scan(stmt):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in RESTORE_METHODS
-        ):
-            for arg in list(node.args) + [
-                kw.value for kw in node.keywords
-            ]:
-                if isinstance(arg, ast.Name) and arg.id == var:
-                    return True
-    return False
-
-
-def _mutates_state(stmt: ast.stmt) -> Optional[str]:
-    """The first state-mutating call verb in the statement, else None."""
-    for node in _scan(stmt):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = None
-            if isinstance(func, ast.Attribute):
-                name = func.attr
-            elif isinstance(func, ast.Name):
-                name = func.id
-            if name in STATE_MUTATORS:
-                return name
-    return None
+#: (module, qualname) of the other allowed callers: the coordinator's
+#: batch rollback and the shards' masked-view load.
+RESTORE_CALLERS = {
+    ("repro.service.coordinator", "ShardedCoordinator.rollback_to"),
+    ("repro.service.shard", "PodShard.sync"),
+}
 
 
 @register
 class TransactionDisciplineRule(Rule):
-    """OST009: snapshots must reach a restore on every exception path."""
+    """OST009: snapshot restores are confined to the transaction primitive."""
 
     code = "OST009"
-    name = "snapshot-restore"
+    name = "restore-confinement"
     summary = (
-        "state snapshots in faults/service/openstack/heat must be "
-        "restored on every exception path that follows a state mutation"
+        "restore() is called only in datacenter/state.py, ShardedCoordinator"
+        ".rollback_to and PodShard.sync; elsewhere use state.transaction()"
     )
 
     def check(self, ctx: "FileContext") -> Iterator[Diagnostic]:
-        if not ctx.in_package(*TRANSACTION_PACKAGES):
+        if not ctx.in_package("repro") or ctx.module == STATE_MODULE:
             return
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, FUNCTION_NODES):
-                yield from self._check_function(ctx, node)
-
-    def _check_function(
-        self, ctx: "FileContext", func: ast.AST
-    ) -> Iterator[Diagnostic]:
-        cfg = CFG.for_function(func)
-        nodes = cfg.nodes
-        snapshots: List[tuple] = []  # (node index, var name)
-        for node in cfg.statement_nodes():
-            var = _snapshot_var(node.stmt)
-            if var is not None:
-                snapshots.append((node.index, var))
-        for snap_index, var in snapshots:
-            blocked: Set[int] = {
-                node.index
-                for node in cfg.statement_nodes()
-                if node.index != snap_index and _restores(node.stmt, var)
-            }
-            reachable = cfg.reachable_from(
-                [snap_index], blocked=frozenset(blocked)
-            )
-            reachable.discard(snap_index)
-            for index in sorted(reachable):
-                node = nodes[index]
-                if node.kind != "stmt":
-                    continue
-                verb = _mutates_state(node.stmt)
-                if verb is None:
-                    continue
-                escape = cfg.reachable_from(
-                    [index], blocked=frozenset(blocked)
+        for node, scope in walk_scoped(ctx.tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "restore"
+                and (ctx.module, ".".join(scope)) not in RESTORE_CALLERS
+            ):
+                yield self.diagnostic(
+                    ctx,
+                    node.lineno,
+                    node.col_offset + 1,
+                    "restore() called outside the transaction primitive; "
+                    "wrap the mutation in `with state.transaction():`",
                 )
-                if cfg.raise_exit.index in escape:
-                    stmt = nodes[snap_index].stmt
-                    yield self.diagnostic(
-                        ctx,
-                        stmt.lineno,
-                        stmt.col_offset + 1,
-                        f"snapshot '{var}' is not restored on an "
-                        f"exception path that follows the state-mutating "
-                        f"call '{verb}()' (line {node.stmt.lineno}); "
-                        "restore it in a broad except/finally before the "
-                        "exception escapes",
-                    )
-                    break

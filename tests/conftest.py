@@ -8,6 +8,7 @@ from repro.core.topology import ApplicationTopology
 from repro.datacenter.builder import build_cloud, build_datacenter, build_testbed
 from repro.datacenter.model import Level
 from repro.datacenter.state import DataCenterState
+from repro.errors import PermanentAPIError
 
 
 @pytest.fixture
@@ -64,3 +65,35 @@ def make_three_tier(
 @pytest.fixture
 def three_tier():
     return make_three_tier()
+
+
+class ScriptedInjector:
+    """Duck-typed injector that fails exactly the scripted call numbers."""
+
+    def __init__(self, fail_calls, error=PermanentAPIError):
+        self.fail_calls = set(fail_calls)
+        self.error = error
+        self.calls = 0
+
+    def before_api_call(self, service, method):
+        self.calls += 1
+        if self.calls in self.fail_calls:
+            raise self.error(
+                f"scripted fault on call {self.calls} ({service}.{method})"
+            )
+
+
+def wedge_after(monkeypatch, owner, method, n):
+    """Make the ``n``-th call of ``owner.method`` raise a RuntimeError --
+    a non-library failure, as from a wedged surrogate -- and pass every
+    other call through."""
+    real = getattr(owner, method)
+    calls = {"n": 0}
+
+    def flaky(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == n:
+            raise RuntimeError("surrogate wedged")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, method, flaky)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.datacenter.state import DataCenterState
 from repro.errors import CapacityError
 
@@ -118,6 +119,77 @@ class TestBandwidth:
         cap = small_dc.link_capacity_mbps[host_link]
         assert state.can_reserve({host_link: cap})
         assert not state.can_reserve({host_link: cap + 1})
+
+
+class TestTransaction:
+    def test_success_keeps_the_mutation(self, state):
+        with state.transaction():
+            state.place_vm(0, 4, 8)
+        assert state.free_cpu[0] == 12
+
+    @pytest.mark.parametrize(
+        "error", [CapacityError, RuntimeError, KeyboardInterrupt]
+    )
+    def test_any_exception_restores_bit_exactly(self, state, error):
+        state.place_vm(1, 0.1, 0.3)  # values arithmetic undo would smear
+        before = state.snapshot()
+        with pytest.raises(error):
+            with state.transaction():
+                state.place_vm(1, 0.2, 0.7)
+                state.reserve_path(state.cloud.path(0, 4), 33.3)
+                raise error("boom")
+        assert state.snapshot() == before
+
+    def test_outer_transaction_restores_over_an_inner_one(self, state):
+        before = state.snapshot()
+        with pytest.raises(CapacityError):
+            with state.transaction():
+                state.place_vm(0, 4, 8)
+                with state.transaction():
+                    state.place_vm(1, 4, 8)  # inner commits ...
+                raise CapacityError("outer fails")  # ... outer undoes it
+        assert state.snapshot() == before
+
+    def test_down_element_records_are_restored_too(self, state, small_dc):
+        """Releases on failed elements are absorbed into their down
+        records, which ``snapshot()`` does not carry; rolling the
+        releases back must take the absorbed capacity back out."""
+        pristine = state.snapshot()
+        path = small_dc.path(0, 4)
+        state.place_vm(7, 4, 8)
+        state.reserve_path(path, 100)
+        state.fail_link(path[1])
+        state.fail_host(7)
+        absorbed_bw = state.effective_free_bw(path[1])
+        with pytest.raises(CapacityError):
+            with state.transaction():
+                state.release_path(path, 100)
+                state.unplace_vm(7, 4, 8)
+                assert state.effective_free_bw(path[1]) == absorbed_bw + 100
+                assert state.effective_free_cpu(7) == 16
+                raise CapacityError("the move's target does not fit")
+        assert state.effective_free_bw(path[1]) == absorbed_bw
+        assert state.effective_free_cpu(7) == 12
+        # repair, release for real: nothing was double-counted
+        state.restore_link(path[1])
+        state.restore_host(7)
+        state.release_path(path, 100)
+        state.unplace_vm(7, 4, 8)
+        assert state.snapshot() == pristine
+
+    def test_reports_library_errors_once_when_given_an_app(self, state):
+        def fail(app, error):
+            with pytest.raises(error):
+                with state.transaction(app=app):
+                    raise error("boom")
+
+        with obs.use(obs.TelemetryRecorder()) as rec:
+            fail("shop", CapacityError)
+            fail(None, CapacityError)  # anonymous: restores silently
+            fail("shop", RuntimeError)  # not an admission verdict
+        (event,) = rec.events.of_type("rollback")
+        assert event.fields["app"] == "shop"
+        assert rec.registry.get("ostro_rollbacks_total").value() == 1
 
 
 class TestClone:

@@ -1,11 +1,12 @@
-"""Fault-mid-migration suite: every abort restores the in-flight step
-bit-exactly and leaves zero conservation violations.
+"""Fault-mid-migration suite: every abort leaves the in-flight step
+untouched and zero conservation violations.
 
 The fixture's planner output is a single 10-step whole-application
 migration, so the failing step index can be swept across the entire
-plan: permanent API faults (rolled back via snapshot/restore), source-
-and target-host crashes (refused before any capacity is touched), and
-transient faults (retried to completion under a policy).
+plan: source- and target-host crashes (refused before any capacity is
+touched) and transient faults (retried to completion under a policy).
+The permanent-API-fault sweep (the in-flight step rolled back at every
+gate) is the ``defrag`` row of ``tests/faults/test_rollback.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from repro.defrag import (
 )
 from repro.errors import TransientAPIError
 from repro.faults import RetryPolicy
-from tests.faults.test_rollback import ScriptedInjector
+from tests.conftest import ScriptedInjector
 
 CFG = DefragConfig(algorithm="eg", max_moves_per_pass=16)
 
@@ -38,31 +39,6 @@ def plan_for(ostro):
 
 
 class TestApiFaultMidPlan:
-    @pytest.mark.parametrize("fail_at", range(1, N_STEPS + 1))
-    def test_permanent_fault_rolls_back_the_in_flight_step(
-        self, fragmented_ostro, fail_at
-    ):
-        """Each migration step is exactly one gated surrogate API call,
-        so failing call ``k`` aborts step index ``k - 1``; the state must
-        come back bit-identical to the snapshot taken just before it."""
-        ostro = fragmented_ostro
-        plan = plan_for(ostro)
-        ostro.injector = ScriptedInjector([fail_at])
-        snapshots = {}
-
-        def hook(app, index, step):
-            snapshots[index] = ostro.state.snapshot()
-
-        stats = DefragStats()
-        executor = DefragExecutor(ostro, CFG, step_hook=hook)
-        assert not executor.execute(plan, stats)
-        assert ostro.state.snapshot() == snapshots[fail_at - 1]
-        assert stats.moves + stats.bounces == fail_at - 1
-        # the recorded placement tracks the executed prefix exactly, so
-        # the leak audit passes at the intermediate configuration too
-        assert conservation_violations(ostro) == []
-        assert ostro.verify_state() == []
-
     def test_transient_faults_are_retried_to_completion(
         self, fragmented_ostro
     ):

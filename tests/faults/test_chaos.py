@@ -231,6 +231,36 @@ class TestChaosScaling:
         assert disabled.scale_evaluations == 0
 
 
+class TestLinkFaultsScalingDefrag:
+    @pytest.mark.parametrize("seed", [9, 12])
+    def test_run_survives_failed_move(self, seed):
+        """A planner move that does not fit while an uplink on the
+        node's old path is down: undoing it by re-reserving the old
+        flows raised and killed the run (two of the crashing seeds of
+        ``benchmarks/ledger/probes/chaos_link_scaling.py``)."""
+        from repro.scaling import ScalingConfig
+
+        cloud = build_datacenter(num_racks=2)
+        plan = make_fault_plan(
+            cloud, seed=seed, hosts=4, links=1, steps=12,
+            recover_after_steps=2, api_transient_rate=0.05,
+        )
+        report = run_chaos(
+            plan,
+            cloud=cloud,
+            apps=12,
+            app_vms=10,
+            algorithm="eg",
+            defrag=DefragConfig(algorithm="eg", max_moves_per_pass=16),
+            scaling=ScalingConfig(
+                policy="threshold", tier_prefix="tier1", scale_out_at=0.70,
+                scale_in_at=0.35, step_fraction=0.34, cooldown_s=3600.0,
+                seed=seed, consolidate=True,
+            ),
+        )
+        assert report.invariant_violations == []
+
+
 class TestChaosCLI:
     def test_experiment_chaos_exits_clean(self, capsys):
         rc = cli_main(

@@ -1,63 +1,310 @@
-"""Transactional rollback tests: a failed deploy leaks nothing.
+"""The rollback harness: every gate of every transactional operation.
 
-The scripted injector fails the k-th surrogate API call; every test
-asserts the state fingerprint (``snapshot()``) after the failed
-operation is bit-identical to the fingerprint before it.
+Each transactional operation is *staged* just before it runs, a
+:class:`~tests.conftest.ScriptedInjector` fails exactly the k-th gated
+surrogate API call, and one table-driven test sweeps k over every gate
+the operation passes. Per cell: the availability state comes back
+bit-identical (``snapshot()`` equality), the conservation audit is
+empty, the operation's registry record is what it was, and the failed
+attempt reports itself exactly once -- one ``rollback`` event and one
+``ostro_rollbacks_total`` increment per rolled-back transaction.
+
+Two families share the table:
+
+* **whole-operation** rollbacks (``deploy``, ``delete_stack``,
+  ``update_stack``, ``commit``, ``scale_in``): the fault propagates and
+  the operation leaves no trace;
+* **step** rollbacks (``defrag``, ``consolidate``): the in-flight
+  migration step is undone, the pass aborts without raising, and the
+  executed prefix stands (``defrag_step_rolled_back`` instead of
+  ``rollback``).
+
+A third sweep wedges a state mutation with a non-library error
+(``RuntimeError``) mid-operation: the same bit-exact restore, and no
+``rollback`` event -- a wedged surrogate is not an admission verdict.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
+
 import pytest
 
+from repro import obs
+from repro.core.online import remove_vms_from_tier, tier_members
 from repro.core.scheduler import Ostro
+from repro.core.validate import conservation_violations
+from repro.datacenter.builder import build_datacenter
 from repro.datacenter.state import DataCenterState
+from repro.defrag import (
+    DefragConfig,
+    DefragExecutor,
+    DefragPlanner,
+    DefragStats,
+)
 from repro.errors import PermanentAPIError, RetryError, TransientAPIError
 from repro.faults import RetryPolicy
 from repro.heat.engine import HeatEngine
 from repro.heat.template import template_from_topology
-from tests.conftest import make_three_tier
+from tests.conftest import ScriptedInjector, make_three_tier, wedge_after
+from tests.defrag.conftest import make_fragmented_ostro
+from tests.scaling.conftest import make_fragmented_elastic_ostro
 
-#: three-tier = 6 servers + 2 volumes -> 8 create calls per deploy
-N_CREATE_CALLS = 8
+#: three-tier = 6 servers + 2 volumes -> 8 create (or delete) calls
+N_CALLS = 8
+#: the fragmented fixture's single accepted migration moves all 10 VMs
+N_DEFRAG_STEPS = 10
+#: fragmented elastic fixture, count=3: gate 1 is the shrink's release,
+#: gates 2..7 are the consolidation pass's six migration steps
+N_CONSOLIDATION_STEPS = 6
+
+DEFRAG = DefragConfig(algorithm="eg", max_moves_per_pass=16)
+FLEET = "web-fleet"
 
 
-class ScriptedInjector:
-    """Duck-typed injector that fails exactly the scripted call numbers."""
+@dataclass
+class Staged:
+    """One transactional operation, staged just before it runs.
 
-    def __init__(self, fail_calls, error=PermanentAPIError):
-        self.fail_calls = set(fail_calls)
-        self.error = error
-        self.calls = 0
+    Attributes:
+        state: the availability state the operation mutates.
+        install: wires an injector (or None) into the operation's gates.
+        run: performs the operation; takes the defrag step hook.
+        record: the registry view a rollback must leave consistent.
+        ostro: the scheduler to audit, when the operation has one.
+    """
 
-    def before_api_call(self, service, method):
-        self.calls += 1
-        if self.calls in self.fail_calls:
-            raise self.error(
-                f"scripted fault on call {self.calls} ({service}.{method})"
+    state: DataCenterState
+    install: Callable[[Optional[ScriptedInjector]], None]
+    run: Callable[[Any], Any]
+    record: Callable[[], Any]
+    ostro: Optional[Ostro] = None
+
+    def audit(self) -> None:
+        assert self.state.capacity_invariants() == []
+        if self.ostro is not None:
+            assert conservation_violations(self.ostro) == []
+            assert self.ostro.verify_state() == []
+
+
+def _heat(deployed: bool, run: Callable[[HeatEngine], Any]) -> Staged:
+    engine = HeatEngine(
+        DataCenterState(build_datacenter(num_racks=4, hosts_per_rack=4))
+    )
+    if deployed:
+        engine.deploy(template_from_topology(make_three_tier()), "s1")
+
+    def install(injector):
+        engine.nova.injector = engine.cinder.injector = injector
+
+    return Staged(
+        state=engine.state,
+        install=install,
+        run=lambda hook: run(engine),
+        record=lambda: dict(engine.stacks),
+    )
+
+
+def stage_deploy() -> Staged:
+    template = template_from_topology(make_three_tier())
+    return _heat(False, lambda engine: engine.deploy(template, "s1"))
+
+
+def stage_delete_stack() -> Staged:
+    return _heat(True, lambda engine: engine.delete_stack("s1"))
+
+
+def stage_update_stack() -> Staged:
+    grown = make_three_tier()
+    grown.add_vm("extra", 1, 1)
+    template = template_from_topology(grown)
+    return _heat(True, lambda engine: engine.update_stack(template, "s1"))
+
+
+def _applications(ostro: Ostro) -> Any:
+    return {
+        name: (
+            sorted(deployed.topology.nodes),
+            dict(deployed.placement.assignments),
+        )
+        for name, deployed in ostro.applications.items()
+    }
+
+
+def _ostro(ostro: Ostro, run: Callable[[Any], Any]) -> Staged:
+    def install(injector):
+        ostro.injector = injector
+
+    return Staged(
+        state=ostro.state,
+        install=install,
+        run=run,
+        record=lambda: _applications(ostro),
+        ostro=ostro,
+    )
+
+
+def stage_commit() -> Staged:
+    ostro = Ostro(build_datacenter(num_racks=4, hosts_per_rack=4))
+    return _ostro(
+        ostro,
+        lambda hook: ostro.place(
+            make_three_tier(), algorithm="eg", commit=True
+        ),
+    )
+
+
+def stage_scale_in() -> Staged:
+    """Shrink by 3 with consolidation; also the ``consolidate`` steps."""
+    ostro = make_fragmented_elastic_ostro()
+    return _ostro(
+        ostro,
+        lambda hook: remove_vms_from_tier(
+            ostro, FLEET, "vm", count=3, consolidate=DEFRAG, step_hook=hook
+        ),
+    )
+
+
+def stage_defrag() -> Staged:
+    ostro = make_fragmented_ostro()
+    plan = DefragPlanner(DEFRAG).plan_pass(ostro)
+    assert len(plan.migrations) == 1
+    assert len(plan.migrations[0].plan.steps) == N_DEFRAG_STEPS
+
+    def run(hook):
+        stats = DefragStats()
+        completed = DefragExecutor(ostro, DEFRAG, step_hook=hook).execute(
+            plan, stats
+        )
+        return completed, stats
+
+    return _ostro(ostro, run)
+
+
+#: whole-operation rollbacks: op -> (stage, gates swept, rollbacks
+#: reported per failed attempt). ``update_stack`` nests: the inner
+#: ``delete_stack`` (gates 1-8) or ``deploy`` (gates 9-17, the grown
+#: template has 9 resources) rolls back and reports, then the enclosing
+#: update transaction restores the pre-update state and reports too.
+WHOLE_OPS = {
+    "deploy": (stage_deploy, range(1, N_CALLS + 1), 1),
+    "delete_stack": (stage_delete_stack, range(1, N_CALLS + 1), 1),
+    "update_stack": (stage_update_stack, range(1, 2 * N_CALLS + 2), 2),
+    "commit": (stage_commit, [1], 1),
+    "scale_in": (stage_scale_in, [1], 1),
+}
+
+#: step rollbacks: op -> (stage, gates swept, gate of step index 0)
+STEP_OPS = {
+    "defrag": (stage_defrag, range(1, N_DEFRAG_STEPS + 1), 1),
+    "consolidate": (
+        stage_scale_in,
+        range(2, 2 + N_CONSOLIDATION_STEPS),
+        2,
+    ),
+}
+
+
+def _cells(table):
+    return [
+        pytest.param(op, gate, id=f"{op}-{gate}")
+        for op, (_, gates, _) in table.items()
+        for gate in gates
+    ]
+
+
+class TestEveryGate:
+    @pytest.mark.parametrize("op,gate", _cells(WHOLE_OPS))
+    def test_fault_rolls_the_operation_back(self, op, gate):
+        stage, _, rollbacks = WHOLE_OPS[op]
+        staged = stage()
+        before, record = staged.state.snapshot(), staged.record()
+        staged.install(ScriptedInjector([gate]))
+        with obs.use(obs.TelemetryRecorder()) as rec:
+            with pytest.raises(PermanentAPIError):
+                staged.run(None)
+        assert staged.state.snapshot() == before
+        assert staged.record() == record
+        staged.audit()
+        assert rec.events.count("rollback") == rollbacks
+        assert rec.registry.get("ostro_rollbacks_total").value() == rollbacks
+        # the state is fully usable afterwards: the same operation succeeds
+        staged.install(None)
+        staged.run(None)
+        assert staged.record() != record
+        staged.audit()
+
+    @pytest.mark.parametrize("op,gate", _cells(STEP_OPS))
+    def test_fault_rolls_the_in_flight_step_back(self, op, gate):
+        """Each migration step is exactly one gated call, so failing
+        gate ``k`` aborts step ``k - first``; the state must come back
+        bit-identical to the snapshot taken just before that step, and
+        the recorded placement tracks the executed prefix exactly, so
+        the leak audit passes at the intermediate configuration too."""
+        stage, _, first = STEP_OPS[op]
+        staged = stage()
+        snapshots = {}
+
+        def hook(app, index, step):
+            snapshots[index] = staged.state.snapshot()
+
+        staged.install(ScriptedInjector([gate]))
+        with obs.use(obs.TelemetryRecorder()) as rec:
+            outcome = staged.run(hook)
+        failed_step = gate - first
+        assert staged.state.snapshot() == snapshots[failed_step]
+        assert max(snapshots) == failed_step  # the pass stopped there
+        staged.audit()
+        assert rec.events.count("defrag_step_rolled_back") == 1
+        assert rec.registry.get("ostro_defrag_rollbacks_total").value() == 1
+        assert rec.events.count("rollback") == 0
+        if op == "defrag":
+            completed, stats = outcome
+            assert not completed
+            assert stats.moves + stats.bounces == failed_step
+        else:
+            # the shrink is durable; only the consolidation pass aborted
+            assert outcome.removed == ["vm-extra4", "vm-extra3", "vm-extra2"]
+            assert not outcome.consolidated
+            assert outcome.consolidation_moves == failed_step
+            members = tier_members(staged.ostro.deployed(FLEET).topology, "vm")
+            assert len(members) == 5
+
+
+class TestWedgedMutation:
+    """A non-library error mid-mutation rolls back like any other."""
+
+    @pytest.mark.parametrize(
+        "stage,method",
+        [
+            (stage_commit, "reserve_path"),
+            (stage_scale_in, "unplace_vm"),
+            (stage_defrag, "reserve_path"),
+        ],
+        ids=["commit", "scale_in", "defrag"],
+    )
+    def test_runtime_error_rolls_back(self, monkeypatch, stage, method):
+        staged = stage()
+        last = {"state": staged.state.snapshot(), "record": staged.record()}
+
+        def hook(app, index, step):  # defrag: the in-flight step's start
+            last.update(
+                state=staged.state.snapshot(), record=staged.record()
             )
+
+        # the 2nd call: capacity is already half-applied when it wedges
+        wedge_after(monkeypatch, staged.state, method, 2)
+        with obs.use(obs.TelemetryRecorder()) as rec:
+            with pytest.raises(RuntimeError, match="wedged"):
+                staged.run(hook)
+        assert staged.state.snapshot() == last["state"]
+        assert staged.record() == last["record"]
+        staged.audit()
+        assert rec.events.count("rollback") == 0
 
 
 class TestDeployRollback:
-    @pytest.mark.parametrize("fail_at", range(1, N_CREATE_CALLS + 1))
-    def test_mid_stack_failure_restores_state_bit_exactly(
-        self, small_dc, fail_at
-    ):
-        engine = HeatEngine(
-            DataCenterState(small_dc),
-            injector=ScriptedInjector([fail_at]),
-        )
-        template = template_from_topology(make_three_tier())
-        before = engine.state.snapshot()
-        with pytest.raises(PermanentAPIError):
-            engine.deploy(template, "s1")
-        assert engine.state.snapshot() == before
-        assert "s1" not in engine.stacks
-        assert engine.state.capacity_invariants() == []
-        # the state is fully usable afterwards: the same deploy succeeds
-        engine.nova.injector = engine.cinder.injector = None
-        stack = engine.deploy(template, "s1")
-        assert len(stack.servers) == 6 and len(stack.volumes) == 2
-
     def test_transient_faults_are_retried_to_success(self, small_dc):
         injector = ScriptedInjector([1, 2], error=TransientAPIError)
         engine = HeatEngine(
@@ -69,7 +316,7 @@ class TestDeployRollback:
             template_from_topology(make_three_tier()), "s1"
         )
         assert len(stack.servers) == 6
-        assert injector.calls > N_CREATE_CALLS  # retries happened
+        assert injector.calls > N_CALLS  # retries happened
 
     def test_exhausted_retries_roll_back(self, small_dc):
         injector = ScriptedInjector(range(1, 100), error=TransientAPIError)
@@ -85,54 +332,24 @@ class TestDeployRollback:
         assert "s1" not in engine.stacks
 
 
-class TestUpdateRollback:
-    @pytest.mark.parametrize("fail_at", [1, 5, 9, 12, 16])
-    def test_failed_update_restores_state_and_old_stack(
-        self, small_dc, fail_at
-    ):
-        """Failure anywhere in delete-then-redeploy rolls the update back.
-
-        An update issues 8 delete calls then 8 create calls; ``fail_at``
-        samples both phases.
-        """
-        engine = HeatEngine(DataCenterState(small_dc))
-        topo = make_three_tier()
-        engine.deploy(template_from_topology(topo), "s1")
-        before = engine.state.snapshot()
-        old_servers = dict(engine.stacks["s1"].servers)
-
-        injector = ScriptedInjector([fail_at])
-        engine.nova.injector = engine.cinder.injector = injector
-        grown = topo.copy()
-        grown.add_vm("extra", 1, 1)
-        with pytest.raises(PermanentAPIError):
-            engine.update_stack(template_from_topology(grown), "s1")
-        assert engine.state.snapshot() == before
-        assert engine.stacks["s1"].servers == old_servers
-        assert engine.state.capacity_invariants() == []
-
-
 class TestCommitRollback:
-    def test_injected_commit_fault_restores_scheduler_state(self, small_dc):
-        ostro = Ostro(small_dc, injector=ScriptedInjector([1]))
-        pristine = ostro.state.snapshot()
-        with pytest.raises(PermanentAPIError):
-            ostro.place(make_three_tier(), algorithm="eg", commit=True)
-        assert ostro.state.snapshot() == pristine
-        assert ostro.applications == {}
-        assert ostro.verify_state() == []
-
     def test_commit_retries_transient_faults(self, small_dc):
-        injector = ScriptedInjector([1], error=TransientAPIError)
+        """Each failed attempt rolls back (and reports) before the next."""
+        injector = ScriptedInjector([1, 2], error=TransientAPIError)
         ostro = Ostro(
             small_dc,
             injector=injector,
             retry_policy=RetryPolicy(max_attempts=3),
         )
-        result = ostro.place(make_three_tier(), algorithm="eg", commit=True)
+        with obs.use(obs.TelemetryRecorder()) as rec:
+            result = ostro.place(
+                make_three_tier(), algorithm="eg", commit=True
+            )
         assert "three-tier" in ostro.applications
         assert result.placement.assignments
         assert ostro.verify_state() == []
+        assert rec.events.count("rollback") == 2
+        assert rec.registry.get("ostro_rollbacks_total").value() == 2
 
     def test_remove_after_faulty_commit_cycle_is_leak_free(self, small_dc):
         injector = ScriptedInjector([1], error=TransientAPIError)

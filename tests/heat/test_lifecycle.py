@@ -10,7 +10,7 @@ from repro.errors import PlacementError, SchedulerError, TemplateError
 from repro.heat.engine import HeatEngine
 from repro.heat.template import template_from_topology
 from repro.heat.wrapper import OstroHeatWrapper
-from tests.conftest import make_three_tier
+from tests.conftest import make_three_tier, wedge_after
 
 
 @pytest.fixture
@@ -110,26 +110,13 @@ class TestEngineLifecycle:
 class TestUnexpectedErrorRollback:
     """Non-library exceptions mid-transaction must also restore state.
 
-    The ``except ReproError`` handlers cover scheduling failures and
-    injected faults; a RuntimeError escaping a surrogate API call is not
-    an admission verdict and must not leak half-applied capacity
-    (OST009's exception-path condition)."""
-
-    def _wedge_after(self, monkeypatch, owner, method, n):
-        real = getattr(owner, method)
-        calls = {"n": 0}
-
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == n:
-                raise RuntimeError("surrogate wedged")
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(owner, method, flaky)
+    A RuntimeError escaping a surrogate API call is not an admission
+    verdict and must not leak half-applied capacity: the state
+    transaction rolls back on every exception, not just library ones."""
 
     def test_deploy_restores_state(self, engine, monkeypatch):
         pristine = engine.state.snapshot()
-        self._wedge_after(monkeypatch, engine.nova, "create_server", 2)
+        wedge_after(monkeypatch, engine.nova, "create_server", 2)
         with pytest.raises(RuntimeError):
             engine.deploy(
                 template_from_topology(make_three_tier()), "s1"
@@ -140,7 +127,7 @@ class TestUnexpectedErrorRollback:
     def test_delete_restores_state_and_stack(self, engine, monkeypatch):
         engine.deploy(template_from_topology(make_three_tier()), "s1")
         deployed = engine.state.snapshot()
-        self._wedge_after(monkeypatch, engine.nova, "delete_server", 2)
+        wedge_after(monkeypatch, engine.nova, "delete_server", 2)
         with pytest.raises(RuntimeError):
             engine.delete_stack("s1")
         assert engine.state.snapshot() == deployed
@@ -152,7 +139,7 @@ class TestUnexpectedErrorRollback:
         engine.deploy(template_from_topology(make_three_tier()), "s1")
         old = engine.stacks["s1"]
         deployed = engine.state.snapshot()
-        self._wedge_after(monkeypatch, engine.nova, "create_server", 2)
+        wedge_after(monkeypatch, engine.nova, "create_server", 2)
         with pytest.raises(RuntimeError):
             engine.update_stack(
                 template_from_topology(make_three_tier()), "s1"

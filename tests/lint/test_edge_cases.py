@@ -136,22 +136,16 @@ class TestMatch:
         )
         assert diags == []
 
-    def test_match_snapshot_paths_are_modeled(self):
-        # OST009's CFG fans match statements out per case: a mutation
-        # in one arm with no restore on the escape path still fires
+    def test_restore_in_match_arm_is_found(self):
         diags = lint_source(
             textwrap.dedent(
                 """
-                def admit(state, group, kind):
-                    snap = state.snapshot()
-                    try:
-                        match kind:
-                            case "fast":
-                                state.apply(group)
-                            case _:
-                                pass
-                    except ValueError:
-                        return None
+                def undo(state, snap, kind):
+                    match kind:
+                        case "full":
+                            state.restore(snap)
+                        case _:
+                            pass
                 """
             ),
             path="src/repro/service/fx.py",

@@ -1,17 +1,15 @@
 """Flow-aware rules OST009-OST012: true positives and FP guards.
 
-OST009 is a per-file CFG rule and runs through ``lint_source``;
+OST009 is a per-file rule and runs through ``lint_source``;
 OST010/OST011/OST012 need the cross-file view and run through
 ``lint_project_sources``.
 """
 
 from __future__ import annotations
 
-import ast
 import textwrap
 
 from repro.lint import lint_project_sources, lint_source
-from repro.lint.rules.transactions import _mutates_state, _restores
 
 
 def codes(diags, code):
@@ -27,39 +25,11 @@ def lint_service_source(body: str):
 
 
 class TestTransactionDiscipline:
-    """OST009: snapshot must reach a restore on exception paths."""
+    """OST009: ``.restore(...)`` is confined to the transaction primitive."""
 
-    def test_unrestored_mutation_fires(self):
-        diags = lint_service_source(
-            """
-            def admit(state, group):
-                snap = state.snapshot()
-                try:
-                    state.apply(group)
-                except ValueError:
-                    return None
-                return snap
-            """
-        )
-        found = codes(diags, "OST009")
-        assert len(found) == 1
-        assert "'snap'" in found[0].message
-        assert "'apply()'" in found[0].message
-
-    def test_restore_in_finally_is_clean(self):
-        diags = lint_service_source(
-            """
-            def admit(state, group):
-                snap = state.snapshot()
-                try:
-                    state.apply(group)
-                finally:
-                    state.restore(snap)
-            """
-        )
-        assert codes(diags, "OST009") == []
-
-    def test_restore_in_broad_except_is_clean(self):
+    def test_hand_rolled_rollback_fires(self):
+        # the idiom transaction() replaced: correct on every path, and
+        # still a second rollback mechanism
         diags = lint_service_source(
             """
             def admit(state, group):
@@ -71,23 +41,67 @@ class TestTransactionDiscipline:
                     raise
             """
         )
+        found = codes(diags, "OST009")
+        assert [(d.line, d.col) for d in found] == [(7, 9)]
+        assert "state.transaction()" in found[0].message
+
+    def test_whole_tree_is_policed(self):
+        # the CFG rule only looked at faults/service/openstack/heat
+        diags = lint_source(
+            "def undo(ostro, snap):\n    ostro.state.restore(snap)\n",
+            path="src/repro/core/fx.py",
+            module="repro.core.fx",
+        )
+        assert len(codes(diags, "OST009")) == 1
+
+    def test_other_methods_of_an_allowed_class_fire(self):
+        diags = lint_source(
+            textwrap.dedent(
+                """
+                class ShardedCoordinator:
+                    def rollback_to(self, snapshot, app_names):
+                        self.state.restore(snapshot)
+
+                    def update(self, snapshot):
+                        self.state.restore(snapshot)
+                """
+            ),
+            path="src/repro/service/coordinator.py",
+            module="repro.service.coordinator",
+        )
+        assert [d.line for d in codes(diags, "OST009")] == [7]
+
+    def test_shard_view_load_is_clean(self):
+        diags = lint_source(
+            textwrap.dedent(
+                """
+                class PodShard:
+                    def sync(self, snapshot):
+                        self.state.restore(self.masked_snapshot(snapshot))
+                """
+            ),
+            path="src/repro/service/shard.py",
+            module="repro.service.shard",
+        )
         assert codes(diags, "OST009") == []
 
-    def test_narrow_except_alone_still_fires(self):
-        # a narrow handler restores, but an unexpected exception type
-        # bypasses it -- exactly the heat-engine bug class
+    def test_state_module_is_exempt(self):
+        diags = lint_source(
+            "def transaction(self, saved):\n    self.restore(saved)\n",
+            path="src/repro/datacenter/state.py",
+            module="repro.datacenter.state",
+        )
+        assert codes(diags, "OST009") == []
+
+    def test_transaction_block_is_clean(self):
         diags = lint_service_source(
             """
             def admit(state, group):
-                snap = state.snapshot()
-                try:
+                with state.transaction(app=group.name):
                     state.apply(group)
-                except ValueError:
-                    state.restore(snap)
-                    raise
             """
         )
-        assert len(codes(diags, "OST009")) == 1
+        assert codes(diags, "OST009") == []
 
     def test_read_only_snapshot_is_clean(self):
         diags = lint_service_source(
@@ -102,92 +116,40 @@ class TestTransactionDiscipline:
         )
         assert codes(diags, "OST009") == []
 
-    def test_rollback_to_counts_as_restore(self):
+    def test_calling_rollback_to_is_clean(self):
+        # the batch engine's arm: the restore itself stays behind the
+        # coordinator's method
         diags = lint_service_source(
             """
-            def admit(coordinator, group):
-                snap = coordinator.snapshot()
+            def admit(coordinator, group, names):
+                snap = coordinator.state.snapshot()
                 try:
                     coordinator.admit(group)
                 except BaseException:
-                    coordinator.rollback_to(snap, group)
+                    coordinator.rollback_to(snap, names)
                     raise
             """
         )
         assert codes(diags, "OST009") == []
 
-    def test_mutation_after_try_is_clean(self):
-        # commit after the guarded region: per the CFG model an
-        # unguarded trailing call is not an exception path
+    def test_element_repair_is_not_a_snapshot_restore(self):
         diags = lint_service_source(
             """
-            def admit(state, group):
-                snap = state.snapshot()
-                try:
-                    validate(group)
-                except ValueError:
-                    state.restore(snap)
-                    raise
-                state.commit(group)
+            def repair(state, host, link):
+                state.restore_host(host)
+                state.restore_link(link)
             """
         )
         assert codes(diags, "OST009") == []
 
-    def test_outside_transaction_packages_is_ignored(self):
+    def test_outside_the_package_is_ignored(self):
+        # benchmarks and tests reset states between laps
         diags = lint_source(
-            textwrap.dedent(
-                """
-                def admit(state, group):
-                    snap = state.snapshot()
-                    try:
-                        state.apply(group)
-                    except ValueError:
-                        return None
-                """
-            ),
-            path="src/repro/core/fx.py",
-            module="repro.core.fx",
+            "def reset(state, base):\n    state.restore(base)\n",
+            path="benchmarks/ledger/workloads.py",
+            module=None,
         )
         assert codes(diags, "OST009") == []
-
-
-class TestCompoundHeadScanning:
-    """Regression: compound CFG heads must not absorb body calls."""
-
-    def _stmt(self, source: str) -> ast.stmt:
-        return ast.parse(textwrap.dedent(source)).body[0]
-
-    def test_loop_head_does_not_own_body_mutation(self):
-        stmt = self._stmt(
-            """
-            for group in groups:
-                state.commit(group)
-            """
-        )
-        assert _mutates_state(stmt) is None
-
-    def test_loop_head_does_not_own_body_restore(self):
-        stmt = self._stmt(
-            """
-            for group in groups:
-                state.restore(snap)
-            """
-        )
-        assert not _restores(stmt, "snap")
-
-    def test_loop_head_owns_its_iter_expression(self):
-        stmt = self._stmt(
-            """
-            for group in state.apply(groups):
-                pass
-            """
-        )
-        assert _mutates_state(stmt) == "apply"
-
-    def test_simple_statement_is_fully_scanned(self):
-        stmt = self._stmt("result = state.commit(group)\n")
-        assert _mutates_state(stmt) == "commit"
-        assert _restores(self._stmt("state.restore(snap)\n"), "snap")
 
 
 HELPER_CLOCK = textwrap.dedent(

@@ -1,19 +1,20 @@
 """Fault-mid-scale-in suite, mirroring ``tests/defrag/test_executor.py``.
 
-Two distinct transactional domains are swept:
+Two distinct transactional domains are exercised:
 
 * the *shrink* itself -- one gated surrogate API call
-  (``ostro.scale_in``) releasing every victim's reservations under a
-  snapshot; a fault there rolls the whole release back bit-exactly and
-  re-raises;
+  (``ostro.scale_in``) releasing every victim's reservations inside a
+  state transaction; a fault there rolls the whole release back
+  bit-exactly and re-raises;
 * the optional *consolidation* pass -- one gated call
   (``defrag.migrate``) per migration step; a fault there aborts the
   pass transactionally while the already-committed shrink stays
   durable.
 
-The fragmented fixture's scale-in of 3 members triggers exactly 6
-consolidation steps, so the failing call index can be swept across the
-entire sequence.
+The permanent-fault sweeps over both domains (every gate, bit-exact
+restore, one rollback report) are the ``scale_in`` and ``consolidate``
+rows of ``tests/faults/test_rollback.py``; this module keeps the retry,
+exhaustion and host-crash cases.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ import pytest
 from repro.core.online import remove_vms_from_tier, tier_members
 from repro.core.validate import conservation_violations
 from repro.defrag import DefragConfig
-from repro.errors import PermanentAPIError, RetryError, TransientAPIError
+from repro.errors import RetryError, TransientAPIError
 from repro.faults import RetryPolicy
-from tests.faults.test_rollback import ScriptedInjector
+from tests.conftest import ScriptedInjector
 
 APP = "web-fleet"
 CONSOLIDATE = DefragConfig(algorithm="eg", max_moves_per_pass=16)
@@ -37,34 +38,6 @@ TOTAL_CALLS = 1 + N_CONSOLIDATION_STEPS
 
 
 class TestShrinkGateFault:
-    def test_permanent_fault_rolls_back_bit_exactly(
-        self, fragmented_elastic_ostro
-    ):
-        ostro = fragmented_elastic_ostro
-        before = ostro.state.snapshot()
-        members_before = tier_members(
-            ostro.deployed(APP).topology, "vm"
-        )
-        assignments_before = dict(
-            ostro.deployed(APP).placement.assignments
-        )
-        ostro.injector = ScriptedInjector([1])
-        with pytest.raises(PermanentAPIError):
-            remove_vms_from_tier(
-                ostro, APP, "vm", count=3, consolidate=CONSOLIDATE
-            )
-        assert ostro.state.snapshot() == before
-        deployed = ostro.deployed(APP)
-        assert tier_members(deployed.topology, "vm") == members_before
-        assert dict(deployed.placement.assignments) == assignments_before
-        assert conservation_violations(ostro) == []
-        assert ostro.verify_state() == []
-        # the state is fully usable afterwards: the same shrink succeeds
-        ostro.injector = None
-        result = remove_vms_from_tier(ostro, APP, "vm", count=3)
-        assert len(result.removed) == 3
-        assert ostro.verify_state() == []
-
     def test_transient_fault_is_retried_to_success(
         self, fragmented_elastic_ostro
     ):
@@ -94,37 +67,6 @@ class TestShrinkGateFault:
 
 
 class TestFaultMidConsolidation:
-    @pytest.mark.parametrize("fail_at", range(2, TOTAL_CALLS + 1))
-    def test_shrink_stays_durable_when_consolidation_aborts(
-        self, fragmented_elastic_ostro, fail_at
-    ):
-        """Failing call ``k`` aborts consolidation step ``k - 2``; the
-        state must come back bit-identical to the snapshot taken just
-        before that step, with the shrink itself still applied."""
-        ostro = fragmented_elastic_ostro
-        ostro.injector = ScriptedInjector([fail_at])
-        snapshots = {}
-
-        def hook(app, index, step):
-            snapshots[index] = ostro.state.snapshot()
-
-        result = remove_vms_from_tier(
-            ostro,
-            APP,
-            "vm",
-            count=3,
-            consolidate=CONSOLIDATE,
-            step_hook=hook,
-        )
-        # the shrink is durable; only the consolidation pass aborted
-        assert result.removed == ["vm-extra4", "vm-extra3", "vm-extra2"]
-        assert not result.consolidated
-        assert result.consolidation_moves == fail_at - 2
-        assert ostro.state.snapshot() == snapshots[fail_at - 2]
-        assert len(tier_members(ostro.deployed(APP).topology, "vm")) == 5
-        assert conservation_violations(ostro) == []
-        assert ostro.verify_state() == []
-
     def test_transient_consolidation_faults_retry_to_completion(
         self, fragmented_elastic_ostro
     ):
