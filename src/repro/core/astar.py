@@ -27,20 +27,21 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core import kernel
 from repro.core.base import PlacementAlgorithm, PlacementResult, SearchStats
 from repro.core.candidates import candidate_targets
 from repro.core.constraints import topology_obviously_infeasible
 from repro.core.greedy import (
     GreedyConfig,
-    _immediate_cost,
     apply_pinned,
+    preselect,
+    record_estimate,
     run_greedy_from,
     sort_nodes_by_relative_weight,
 )
 from repro.core.heuristic import LowerBoundEstimator
 from repro.core.objective import Objective
 from repro.core.placement import PartialPlacement
+from repro.core.scorer import active_scorer
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.model import Cloud
 from repro.datacenter.network import PathResolver
@@ -144,15 +145,11 @@ class BAStar(PlacementAlgorithm):
             set (Section III-B3). Exact; disable only for ablation.
         max_expansions: optional hard cap on expanded paths; when hit the
             best complete placement found so far is returned.
-        scratch_scoring: score candidates by assign/estimate/undo on the
-            popped path itself, cloning only candidates that survive the
-            bound check and are actually pushed (the dominant case prunes
-            or deduplicates most candidates, so this removes most state
-            copies from the hot loop). Relies on
-            :meth:`~repro.core.placement.PartialPlacement.unassign` being
-            bit-exact for the last-assigned node; placements are identical
-            to the clone-per-candidate path (``False``, kept for ablation
-            and the equivalence regression test).
+
+    Candidates are scored on the popped path itself (see
+    :meth:`repro.core.scorer.Scorer.score`); the path is cloned only for
+    the candidates that survive the closed set and the bound check and
+    are actually pushed -- most are deduplicated or pruned.
     """
 
     name = "ba*"
@@ -162,11 +159,9 @@ class BAStar(PlacementAlgorithm):
         greedy_config: Optional[GreedyConfig] = None,
         symmetry_reduction: bool = True,
         max_expansions: Optional[int] = None,
-        scratch_scoring: bool = True,
     ) -> None:
         self.greedy_config = greedy_config or GreedyConfig()
         self.symmetry_reduction = symmetry_reduction
-        self.scratch_scoring = scratch_scoring
         self.limits = _SearchLimits(max_expansions=max_expansions)
         # duration of the most recent EG bound re-run, fed to the
         # deadline guard (_allow_bound_rerun)
@@ -266,14 +261,8 @@ class BAStar(PlacementAlgorithm):
             else {name: i for i, name in enumerate(order)}
         )
 
-        def canonical_key(partial: PartialPlacement) -> FrozenSet:
-            counted = Counter(
-                (class_of[a.node], a.host, a.disk)
-                for a in partial.assignments.values()
-            )
-            return frozenset(counted.items())
-
         rec = obs.get_recorder()
+        scorer = active_scorer()
         # Initial upper bound from a full EG run (Algorithm 2 line 3).
         best_partial, u_upper = self._eg_bound(
             root, order, objective, bound_estimator, stats
@@ -374,152 +363,39 @@ class BAStar(PlacementAlgorithm):
             targets = candidate_targets(
                 partial_p, node_name, dedup=self.greedy_config.dedup
             )
-            cap = self.greedy_config.max_full_candidates
-            use_numpy = kernel.numpy_active()
-            if cap is not None and len(targets) > cap:
-                # Preselect by the cheap immediate-cost proxy, as EG does:
-                # estimating hundreds of symmetric children would starve
-                # the search of depth.
-                if use_numpy:
-                    costs = kernel.immediate_costs(
-                        partial_p, objective, node_name, targets
-                    )
-                    if kernel.crosscheck_active():
-                        kernel.verify_immediate_costs(
-                            partial_p, objective, node_name, targets, costs
-                        )
-                    # stable, like sorted() with a key: ties keep order
-                    index = sorted(
-                        range(len(targets)), key=costs.__getitem__
-                    )
-                    targets = [targets[i] for i in index][:cap]
-                else:
-                    targets = sorted(
-                        targets,
-                        key=lambda t: _immediate_cost(
-                            partial_p, objective, node_name, t
-                        ),
-                    )[:cap]
-            branched = 0
-            rest = order[depth + 1 :]
-            if use_numpy:
-                # Closed-set dedup first, against canonical keys built
-                # without mutating the path: the surviving targets are
-                # then estimated in one array batch and replayed with the
-                # exact per-candidate stats/event/prune/push sequence of
-                # the scalar loop below.
-                node_class = class_of[node_name]
-                base_counted = Counter(
-                    (class_of[a.node], a.host, a.disk)
-                    for a in partial_p.assignments.values()
-                )
-                survivors = []
-                for target in targets:
-                    counted = base_counted.copy()
-                    counted[(node_class, target.host, target.disk)] += 1
-                    key = frozenset(counted.items())
-                    if key in closed:
-                        continue
+            targets, _ = preselect(
+                scorer, partial_p, objective, node_name, targets,
+                self.greedy_config.max_full_candidates,
+            )
+            # Closed-set dedup first, against canonical keys built without
+            # mutating the path; the survivors are scored in one call.
+            node_class = class_of[node_name]
+            base_counted = Counter(
+                (class_of[a.node], a.host, a.disk)
+                for a in partial_p.assignments.values()
+            )
+            survivors = []
+            for target in targets:
+                counted = base_counted.copy()
+                counted[(node_class, target.host, target.disk)] += 1
+                key = frozenset(counted.items())
+                if key not in closed:
                     closed.add(key)
                     survivors.append(target)
-                batch_started = time.perf_counter()
-                batch = kernel.batch_score(
-                    partial_p, node_name, survivors, rest, objective,
-                    estimator,
+            rest = order[depth + 1 :]
+            started = time.perf_counter()
+            batch = scorer.score(
+                partial_p, node_name, survivors, rest, objective, estimator
+            )
+            elapsed = time.perf_counter() - started
+            branched = 0
+            for target, (u_q, child_est_bw, child_est_c) in zip(
+                survivors, batch
+            ):
+                record_estimate(
+                    rec, stats, node_name, target.host, len(rest),
+                    child_est_bw, child_est_c, elapsed / len(batch),
                 )
-                batch_dt = time.perf_counter() - batch_started
-                if kernel.crosscheck_active():
-                    kernel.verify_batch(
-                        partial_p, node_name, survivors, rest, objective,
-                        estimator, batch,
-                    )
-                per_cand_dt = (
-                    batch_dt / len(survivors) if survivors else 0.0
-                )
-                for target, (u_q, child_est_bw, child_est_c) in zip(
-                    survivors, batch
-                ):
-                    if rec.enabled:
-                        rec.inc("ostro_estimates_total")
-                        rec.inc("ostro_candidates_scored_total")
-                        rec.observe("ostro_estimate_seconds", per_cand_dt)
-                        rec.event(
-                            "estimate_computed",
-                            node=node_name,
-                            host=target.host,
-                            remaining=len(rest),
-                            est_bw_mbps=child_est_bw,
-                            est_hosts=child_est_c,
-                            seconds=per_cand_dt,
-                        )
-                    stats.candidates_scored += 1
-                    if u_q >= u_upper - _BOUND_EPS:
-                        stats.paths_pruned += 1
-                        if rec.enabled:
-                            rec.inc(
-                                "ostro_paths_pruned_total", reason="bound"
-                            )
-                            rec.event(
-                                "path_pruned",
-                                depth=depth + 1,
-                                reason="bound",
-                                evaluation=u_q,
-                                bound=u_upper,
-                            )
-                        continue
-                    # clone-then-assign == assign-then-clone, bit-exactly
-                    child = partial_p.clone()
-                    child.assign(node_name, target.host, target.disk)
-                    heapq.heappush(
-                        open_queue, (u_q, next(counter), depth + 1, child)
-                    )
-                    open_depths[depth + 1] += 1
-                    branched += 1
-                targets = []
-            for target in targets:
-                # Scratch scoring: apply the candidate to the popped path
-                # itself, score it, and undo -- cloning the state only for
-                # candidates that actually enter the open queue. The undo
-                # is bit-exact (see PartialPlacement.unassign), so the
-                # scored values match the clone-per-candidate path.
-                if self.scratch_scoring:
-                    scored = partial_p
-                    scored.assign(node_name, target.host, target.disk)
-                else:
-                    scored = partial_p.clone()
-                    scored.assign(node_name, target.host, target.disk)
-                key = canonical_key(scored)
-                if key in closed:
-                    if self.scratch_scoring:
-                        scored.unassign(node_name)
-                    continue
-                closed.add(key)
-                if rec.enabled:
-                    est_started = time.perf_counter()
-                    child_est_bw, child_est_c = estimator.estimate(
-                        scored, rest
-                    )
-                    est_dt = time.perf_counter() - est_started
-                    rec.inc("ostro_estimates_total")
-                    rec.inc("ostro_candidates_scored_total")
-                    rec.observe("ostro_estimate_seconds", est_dt)
-                    rec.event(
-                        "estimate_computed",
-                        node=node_name,
-                        host=target.host,
-                        remaining=len(rest),
-                        est_bw_mbps=child_est_bw,
-                        est_hosts=child_est_c,
-                        seconds=est_dt,
-                    )
-                else:
-                    child_est_bw, child_est_c = estimator.estimate(
-                        scored, rest
-                    )
-                u_q = objective.score(
-                    scored.ubw + child_est_bw, scored.uc + child_est_c
-                )
-                stats.candidates_scored += 1
                 if u_q >= u_upper - _BOUND_EPS:
                     stats.paths_pruned += 1
                     if rec.enabled:
@@ -531,14 +407,9 @@ class BAStar(PlacementAlgorithm):
                             evaluation=u_q,
                             bound=u_upper,
                         )
-                    if self.scratch_scoring:
-                        scored.unassign(node_name)
                     continue
-                if self.scratch_scoring:
-                    child = scored.clone()
-                    scored.unassign(node_name)
-                else:
-                    child = scored
+                child = partial_p.clone()
+                child.assign(node_name, target.host, target.disk)
                 heapq.heappush(
                     open_queue, (u_q, next(counter), depth + 1, child)
                 )

@@ -2,8 +2,8 @@
 
 For a node, the candidate set is every (host, disk) target that satisfies
 all constraints of :mod:`repro.core.constraints`. Because scoring a
-candidate is expensive (it runs the lower-bound estimator), this module
-also implements **exact equivalence-class deduplication**: two feasible
+candidate is expensive (it runs the lower-bound estimator), the scan also
+applies **exact equivalence-class deduplication**: two feasible
 hosts are interchangeable for the search when they have
 
 * identical free resources (CPU, memory, and for volumes the free space of
@@ -24,50 +24,10 @@ disabled (``dedup=False``) for ablation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
-from repro.core import constraints, kernel
-from repro.core.kernel import quantize
 from repro.core.placement import PartialPlacement
-
-
-@dataclass(frozen=True)
-class CandidateTarget:
-    """One feasible placement target for a node.
-
-    Attributes:
-        host: global host index.
-        disk: global disk index for volumes, None for VMs.
-        multiplicity: number of interchangeable hosts this target
-            represents (1 when dedup is off).
-    """
-
-    host: int
-    disk: Optional[int] = None
-    multiplicity: int = 1
-
-
-def _distance_signatures(
-    partial: PartialPlacement,
-) -> Callable[[int], Tuple[int, ...]]:
-    """Factory for per-host distance signatures to all placed hosts.
-
-    Pulls one cached distance row per distinct placed host from the shared
-    :class:`~repro.datacenter.network.PathResolver`, so the per-candidate
-    signature is plain list indexing instead of a pairwise distance call
-    per placed host.
-    """
-    resolver = partial.resolver
-    rows = [
-        resolver.distance_row(p) for p in sorted(partial.placed_hosts())
-    ]
-
-    def signature(host: int) -> Tuple[int, ...]:
-        return tuple(row[host] for row in rows)
-
-    return signature
-
+from repro.core.scorer import CandidateTarget, active_scorer
 
 def candidate_targets(
     partial: PartialPlacement,
@@ -94,119 +54,7 @@ def candidate_targets(
         Feasible :class:`CandidateTarget` records in ascending host order.
         Empty when the node cannot be placed anywhere right now.
 
-    Dispatches to the vectorized kernel when it is active (see
-    :mod:`repro.core.kernel`); results are bit-identical either way, and
-    the ``crosscheck`` kernel verifies that on every call.
+    The scan itself belongs to the active kernel's scorer
+    (:mod:`repro.core.scorer`); results are bit-identical on every kernel.
     """
-    if kernel.numpy_active():
-        results = kernel.candidate_targets_numpy(
-            partial, node_name, dedup=dedup, limit=limit
-        )
-        if kernel.crosscheck_active():
-            reference = _candidate_targets_python(
-                partial, node_name, dedup=dedup, limit=limit
-            )
-            if results != reference:
-                raise kernel.KernelMismatch(
-                    f"candidate set mismatch for node {node_name!r}: "
-                    f"numpy {results!r} != python {reference!r}"
-                )
-        return results
-    return _candidate_targets_python(
-        partial, node_name, dedup=dedup, limit=limit
-    )
-
-
-def _candidate_targets_python(
-    partial: PartialPlacement,
-    node_name: str,
-    dedup: bool = True,
-    limit: Optional[int] = None,
-) -> List[CandidateTarget]:
-    """Pure-Python reference scan (see :func:`candidate_targets`)."""
-    node = partial.topology.node(node_name)
-    state = partial.state
-    cloud = state.cloud
-    free_bw = state.free_bw
-    # Distances to the *distinct* hosts of the partial placement fully
-    # determine the candidate's relation to every placed node.
-    distance_signature = _distance_signatures(partial)
-    # Host-independent constraint setup, hoisted out of the host loop.
-    ctx = constraints.NodeConstraintContext(partial, node_name)
-    uplink_chain = cloud.uplink_chain
-    results: List[CandidateTarget] = []
-    seen: dict = {}
-
-    if node.is_vm:
-        reserved = state.reserved_vcpus(node)
-        for host in range(cloud.num_hosts):
-            if not state.vm_fits(host, reserved, node.mem_gb):
-                continue
-            if not ctx.diversity_ok(host):
-                continue
-            if not ctx.latency_ok(host):
-                continue
-            if not ctx.bandwidth_ok(host):
-                continue
-            if dedup:
-                sig = (
-                    quantize(state.free_cpu[host]),
-                    quantize(state.free_mem[host]),
-                    state.host_is_active(host),
-                    tuple(
-                        quantize(free_bw[link])
-                        for link in uplink_chain(host)
-                    ),
-                    distance_signature(host),
-                )
-                existing = seen.get(sig)
-                if existing is not None:
-                    results[existing] = CandidateTarget(
-                        host=results[existing].host,
-                        disk=None,
-                        multiplicity=results[existing].multiplicity + 1,
-                    )
-                    continue
-                if limit is not None and len(results) >= limit:
-                    continue  # keep scanning only to fold multiplicities
-                seen[sig] = len(results)
-            results.append(CandidateTarget(host=host))
-            if limit is not None and not dedup and len(results) >= limit:
-                break
-    else:
-        for disk_index, disk in enumerate(cloud.disks):
-            if not state.volume_fits(disk_index, node.size_gb):
-                continue
-            host = disk.host.index
-            if not ctx.diversity_ok(host):
-                continue
-            if not ctx.latency_ok(host):
-                continue
-            if not ctx.bandwidth_ok(host):
-                continue
-            if dedup:
-                sig = (
-                    quantize(state.free_disk[disk_index]),
-                    state.host_is_active(host),
-                    tuple(
-                        quantize(free_bw[link])
-                        for link in uplink_chain(host)
-                    ),
-                    distance_signature(host),
-                )
-                existing = seen.get(sig)
-                if existing is not None:
-                    results[existing] = CandidateTarget(
-                        host=results[existing].host,
-                        disk=results[existing].disk,
-                        multiplicity=results[existing].multiplicity + 1,
-                    )
-                    continue
-                if limit is not None and len(results) >= limit:
-                    continue
-                seen[sig] = len(results)
-            results.append(CandidateTarget(host=host, disk=disk_index))
-            if limit is not None and not dedup and len(results) >= limit:
-                break
-
-    return results
+    return active_scorer().candidates(partial, node_name, dedup, limit)

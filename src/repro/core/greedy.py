@@ -18,13 +18,13 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.core import kernel
 from repro.core.base import PlacementAlgorithm, PlacementResult, SearchStats
 from repro.core.candidates import CandidateTarget, candidate_targets
 from repro.core.constraints import topology_obviously_infeasible
 from repro.core.heuristic import EstimatorConfig, LowerBoundEstimator
 from repro.core.objective import Objective
 from repro.core.placement import PartialPlacement
+from repro.core.scorer import Scorer, active_scorer
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.model import Cloud
 from repro.datacenter.network import PathResolver
@@ -177,21 +177,60 @@ def greedy_with_restarts(
     raise first_error
 
 
-def _immediate_cost(
+def preselect(
+    scorer: Scorer,
     partial: PartialPlacement,
     objective: Objective,
     node_name: str,
-    target: CandidateTarget,
-) -> float:
-    """Cheap proxy: objective delta from placing only this node."""
-    resolver = partial.resolver
-    delta_bw = 0.0
-    for neighbor, bw in partial.topology.neighbors(node_name):
-        assigned = partial.assignments.get(neighbor)
-        if assigned is not None and bw > 0:
-            delta_bw += bw * len(resolver.path(target.host, assigned.host))
-    activation = 0 if partial.state.host_is_active(target.host) else 1
-    return objective.score(partial.ubw + delta_bw, partial.uc + activation)
+    targets: List[CandidateTarget],
+    cap: Optional[int],
+) -> Tuple[List[CandidateTarget], List[CandidateTarget]]:
+    """Split ``targets`` into the ``cap`` cheapest and the rest.
+
+    Cheapest by the immediate-cost proxy (the objective after placing only
+    this node); both parts come back in ascending cost order, ties keeping
+    input order. Estimating hundreds of near-symmetric candidates would
+    starve the search of depth, so EG and BA* estimate only the head. With
+    no cap, or no more than ``cap`` targets, nothing is ranked.
+    """
+    if cap is None or len(targets) <= cap:
+        return targets, []
+    costs = scorer.immediate_costs(partial, objective, node_name, targets)
+    ranked = [
+        targets[i] for i in sorted(range(len(targets)), key=costs.__getitem__)
+    ]
+    return ranked[:cap], ranked[cap:]
+
+
+def record_estimate(
+    rec: obs.Recorder,
+    stats: SearchStats,
+    node_name: str,
+    host: int,
+    remaining: int,
+    est_bw_mbps: float,
+    est_hosts: int,
+    seconds: float,
+) -> None:
+    """Count one scored candidate and emit its ``estimate_computed`` event.
+
+    ``seconds`` is the candidate's share of the one scoring call that
+    evaluated it together with its siblings, on every kernel.
+    """
+    stats.candidates_scored += 1
+    if rec.enabled:
+        rec.inc("ostro_estimates_total")
+        rec.inc("ostro_candidates_scored_total")
+        rec.observe("ostro_estimate_seconds", seconds)
+        rec.event(
+            "estimate_computed",
+            node=node_name,
+            host=host,
+            remaining=remaining,
+            est_bw_mbps=est_bw_mbps,
+            est_hosts=est_hosts,
+            seconds=seconds,
+        )
 
 
 class EG(PlacementAlgorithm):
@@ -308,6 +347,7 @@ def run_greedy_from(
     """
     order = list(remaining)
     rec = obs.get_recorder()
+    scorer = active_scorer()
 
     def ranked_candidates(node_name: str) -> List[CandidateTarget]:
         """Feasible targets best-first: estimate-scored head + proxy tail."""
@@ -315,97 +355,27 @@ def run_greedy_from(
         if tie_key is not None:
             # stable sort: tie_key settles equal-cost candidates below
             targets.sort(key=tie_key)
-        tail: List[CandidateTarget] = []
-        use_numpy = kernel.numpy_active()
-        if (
-            config.max_full_candidates is not None
-            and len(targets) > config.max_full_candidates
-        ):
-            if use_numpy:
-                costs = kernel.immediate_costs(
-                    partial, objective, node_name, targets
-                )
-                if kernel.crosscheck_active():
-                    kernel.verify_immediate_costs(
-                        partial, objective, node_name, targets, costs
-                    )
-                # stable, like list.sort with a key: ties keep input order
-                index = sorted(range(len(targets)), key=costs.__getitem__)
-                targets = [targets[i] for i in index]
-            else:
-                targets.sort(
-                    key=lambda t: _immediate_cost(
-                        partial, objective, node_name, t
-                    )
-                )
-            targets, tail = (
-                targets[: config.max_full_candidates],
-                targets[config.max_full_candidates :],
-            )
+        targets, tail = preselect(
+            scorer, partial, objective, node_name, targets,
+            config.max_full_candidates,
+        )
+        rest = [
+            n for n in order if n != node_name and not partial.is_placed(n)
+        ]
+        started = time.perf_counter()
+        batch = scorer.score(
+            partial, node_name, targets, rest, objective, estimator
+        )
+        elapsed = time.perf_counter() - started
         scored = []
-        if use_numpy:
-            rest = [
-                n
-                for n in order
-                if n != node_name and not partial.is_placed(n)
-            ]
-            t0 = time.perf_counter()
-            batch = kernel.batch_score(
-                partial, node_name, targets, rest, objective, estimator
+        for rank, (score, est_bw, est_c) in enumerate(batch):
+            record_estimate(
+                rec, stats, node_name, targets[rank].host, len(rest),
+                est_bw, est_c, elapsed / len(batch),
             )
-            batch_dt = time.perf_counter() - t0
-            if kernel.crosscheck_active():
-                kernel.verify_batch(
-                    partial, node_name, targets, rest, objective,
-                    estimator, batch,
-                )
-            per_cand_dt = batch_dt / len(targets) if targets else 0.0
-            for rank, target in enumerate(targets):
-                score, est_bw, est_c = batch[rank]
-                if rec.enabled:
-                    rec.inc("ostro_estimates_total")
-                    rec.inc("ostro_candidates_scored_total")
-                    rec.observe("ostro_estimate_seconds", per_cand_dt)
-                    rec.event(
-                        "estimate_computed",
-                        node=node_name,
-                        host=target.host,
-                        remaining=len(rest),
-                        est_bw_mbps=est_bw,
-                        est_hosts=est_c,
-                        seconds=per_cand_dt,
-                    )
-                stats.candidates_scored += 1
-                scored.append((score, rank, target))
-            scored.sort(key=lambda item: (item[0], item[1]))
-            return [target for _, _, target in scored] + tail
-        for rank, target in enumerate(targets):
-            partial.assign(node_name, target.host, target.disk)
-            rest = [n for n in order if not partial.is_placed(n)]
-            if rec.enabled:
-                t0 = time.perf_counter()
-                est_bw, est_c = estimator.estimate(partial, rest)
-                est_dt = time.perf_counter() - t0
-                rec.inc("ostro_estimates_total")
-                rec.inc("ostro_candidates_scored_total")
-                rec.observe("ostro_estimate_seconds", est_dt)
-                rec.event(
-                    "estimate_computed",
-                    node=node_name,
-                    host=target.host,
-                    remaining=len(rest),
-                    est_bw_mbps=est_bw,
-                    est_hosts=est_c,
-                    seconds=est_dt,
-                )
-            else:
-                est_bw, est_c = estimator.estimate(partial, rest)
-            score = objective.score(partial.ubw + est_bw, partial.uc + est_c)
-            partial.unassign(node_name)
-            stats.candidates_scored += 1
-            scored.append((score, rank, target))
-        scored.sort(key=lambda item: (item[0], item[1]))
-        return [target for _, _, target in scored] + tail
+            scored.append((score, rank))
+        scored.sort()
+        return [targets[rank] for _, rank in scored] + tail
 
     backtracking_place(
         partial, order, ranked_candidates, config.max_backtracks, stats

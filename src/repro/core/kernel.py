@@ -46,8 +46,10 @@ property tests exercise it on every scenario family.
 The active kernel is selected with :func:`set_kernel` /
 :func:`use_kernel` or the ``REPRO_KERNEL`` environment variable
 (``python`` | ``numpy`` | ``crosscheck``). The default is ``numpy``
-when NumPy is importable, else ``python``; NumPy is optional and
-everything degrades gracefully without it.
+when NumPy is importable, else ``python``; an unknown name, or a NumPy
+kernel asked for without NumPy, is a ``ValueError``. The search loops
+never read the kernel name: :func:`repro.core.scorer.active_scorer`
+turns it into the :class:`~repro.core.scorer.Scorer` they call.
 """
 
 from __future__ import annotations
@@ -94,20 +96,26 @@ class KernelMismatch(AssertionError):
 
 _VALID_KERNELS = ("python", "numpy", "crosscheck")
 
-
-def _default_kernel() -> str:
-    env = os.environ.get("REPRO_KERNEL", "").strip().lower()
-    if env in _VALID_KERNELS:
-        return env
-    return "numpy" if HAVE_NUMPY else "python"
-
-
-_kernel: str = _default_kernel()
+#: name of the active kernel; None until first asked for (see get_kernel)
+_kernel: Optional[str] = None
 
 
 def get_kernel() -> str:
-    """Name of the active scoring kernel."""
-    return _kernel
+    """Name of the active scoring kernel.
+
+    Until :func:`set_kernel` is called this is ``REPRO_KERNEL`` if set,
+    else ``numpy`` when NumPy is importable, else ``python``. The
+    environment is outside input: it goes through :func:`set_kernel`, so
+    a misspelt or unavailable kernel raises instead of silently running
+    another one.
+    """
+    name = _kernel
+    if name is None:
+        name = os.environ.get("REPRO_KERNEL", "").strip().lower() or (
+            "numpy" if HAVE_NUMPY else "python"
+        )
+        set_kernel(name)
+    return name
 
 
 def set_kernel(name: str) -> None:
@@ -127,22 +135,12 @@ def set_kernel(name: str) -> None:
 @contextmanager
 def use_kernel(name: str) -> Iterator[None]:
     """Temporarily select a scoring kernel (restores the previous one)."""
-    previous = _kernel
+    previous = get_kernel()
     set_kernel(name)
     try:
         yield
     finally:
         set_kernel(previous)
-
-
-def numpy_active() -> bool:
-    """True when candidate generation / scoring should use the array path."""
-    return HAVE_NUMPY and _kernel in ("numpy", "crosscheck")
-
-
-def crosscheck_active() -> bool:
-    """True when every numpy result must be verified against python."""
-    return HAVE_NUMPY and _kernel == "crosscheck"
 
 
 # ----------------------------------------------------------------------
@@ -367,13 +365,13 @@ class StateView:
     def for_state(cls, state: DataCenterState) -> "StateView":
         view = cls._CACHE.get(state)
         if view is None:
-            view = cls(state)
-            cls._CACHE[state] = view
-        view.refresh()
+            view = cls._CACHE[state] = cls()
+        view.refresh(state)
         return view
 
-    def __init__(self, state: DataCenterState) -> None:
-        self.state = state
+    def __init__(self) -> None:
+        # No reference back to the state: the cache is keyed weakly by
+        # it, and a strong one here would keep every entry alive forever.
         self.version = -1
         self.cpu_free: Any = None
         self.mem_free: Any = None
@@ -381,8 +379,7 @@ class StateView:
         self.bw_free: Any = None
         self.active: Any = None
 
-    def refresh(self) -> None:
-        state = self.state
+    def refresh(self, state: DataCenterState) -> None:
         if self.version == state.version and self.cpu_free is not None:
             return
         self.cpu_free = np.array(state.free_cpu, dtype=np.float64)
@@ -471,7 +468,7 @@ def candidate_targets_numpy(
     dedup: bool = True,
     limit: Optional[int] = None,
 ) -> List["CandidateTarget"]:
-    """Array twin of :func:`repro.core.candidates.candidate_targets`.
+    """Array twin of :meth:`repro.core.scorer.PythonScorer.candidates`.
 
     Feasibility is one boolean mask over all hosts (or disks); dedup is
     an ``np.unique`` over an integer signature matrix, with first-seen
@@ -615,7 +612,7 @@ def immediate_costs(
     node_name: str,
     targets: Sequence["CandidateTarget"],
 ) -> List[float]:
-    """Batch twin of the greedy immediate-cost candidate preselector."""
+    """Array twin of :meth:`repro.core.scorer.PythonScorer.immediate_costs`."""
     state = partial.state
     arrays = CloudArrays.for_cloud(state.cloud)
     view = StateView.for_state(state)
@@ -1644,58 +1641,3 @@ def _forced_distance(topology: "ApplicationTopology", a: str, b: str) -> int:
         if b in zone.members:
             forced = max(forced, int(zone.level) + 1)
     return forced
-
-
-# ----------------------------------------------------------------------
-# crosscheck
-# ----------------------------------------------------------------------
-
-
-def verify_batch(
-    partial: "PartialPlacement",
-    node_name: str,
-    targets: Sequence["CandidateTarget"],
-    rest: Sequence[str],
-    objective: "Objective",
-    estimator: "LowerBoundEstimator",
-    batch: Sequence[Tuple[float, float, int]],
-) -> None:
-    """Re-score every target with the python reference; raise on mismatch.
-
-    Runs the bit-exact assign/estimate/unassign sequence on ``partial``
-    itself (safe: the last-assigned undo restores every touched slot to
-    its exact prior value).
-    """
-    rest_list = list(rest)
-    for target, (score, est_bw, est_c) in zip(targets, batch):
-        partial.assign(node_name, target.host, target.disk)
-        ref_bw, ref_c = estimator.estimate(partial, rest_list)
-        ref_score = objective.score(partial.ubw + ref_bw, partial.uc + ref_c)
-        partial.unassign(node_name)
-        if score != ref_score or est_bw != ref_bw or est_c != ref_c:
-            raise KernelMismatch(
-                f"batch score mismatch for node {node_name!r} on host "
-                f"{target.host} (disk {target.disk}): numpy "
-                f"(score={score!r}, est_bw={est_bw!r}, est_c={est_c}) != "
-                f"python (score={ref_score!r}, est_bw={ref_bw!r}, "
-                f"est_c={ref_c})"
-            )
-
-
-def verify_immediate_costs(
-    partial: "PartialPlacement",
-    objective: "Objective",
-    node_name: str,
-    targets: Sequence["CandidateTarget"],
-    costs: Sequence[float],
-) -> None:
-    """Crosscheck the batch immediate-cost proxy against the reference."""
-    from repro.core.greedy import _immediate_cost
-
-    for target, cost in zip(targets, costs):
-        ref = _immediate_cost(partial, objective, node_name, target)
-        if cost != ref:
-            raise KernelMismatch(
-                f"immediate cost mismatch for node {node_name!r} on host "
-                f"{target.host}: numpy {cost!r} != python {ref!r}"
-            )

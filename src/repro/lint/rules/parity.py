@@ -1,9 +1,10 @@
 """Kernel-parity rule: OST012.
 
-PR 7's numpy kernel is kept bit-identical to the python reference by a
+The numpy kernel is kept bit-identical to the python specification by a
 runtime crosscheck -- but the crosscheck only fires on executed inputs.
-OST012 catches structural drift statically: for each paired twin
-(the array kernel vs its python reference), both sides must touch the
+OST012 catches structural drift statically: for each of the three
+:class:`repro.core.scorer.Scorer` methods, the python scorer's method
+and the kernel function the numpy scorer delegates to must touch the
 same candidate-tuple fields (constructor kwargs plus attribute reads of
 the tuple class's declared fields) and emit the same metric/counter
 names. A field or counter added to one side and not the other is
@@ -27,26 +28,27 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.lint.project import ProjectContext
     from repro.lint.symbols import FunctionFacts
 
-#: The paired numpy/python twins and the candidate-tuple class whose
-#: field footprint must match. Tuple class is "module:ClassName".
+#: One group per ``Scorer`` method: what ``NumpyScorer`` delegates to,
+#: the ``PythonScorer`` method it must match, and the candidate-tuple
+#: class whose field footprint is compared ("module:ClassName").
 PARITY_GROUPS: Tuple[Dict[str, str], ...] = (
     {
         "group": "candidate-targets",
         "numpy": "repro.core.kernel:candidate_targets_numpy",
-        "python": "repro.core.candidates:candidate_targets",
-        "tuple_class": "repro.core.candidates:CandidateTarget",
+        "python": "repro.core.scorer:PythonScorer.candidates",
+        "tuple_class": "repro.core.scorer:CandidateTarget",
     },
     {
         "group": "immediate-costs",
         "numpy": "repro.core.kernel:immediate_costs",
-        "python": "repro.core.greedy:_immediate_cost",
-        "tuple_class": "repro.core.candidates:CandidateTarget",
+        "python": "repro.core.scorer:PythonScorer.immediate_costs",
+        "tuple_class": "repro.core.scorer:CandidateTarget",
     },
     {
         "group": "batch-scoring",
         "numpy": "repro.core.kernel:batch_score",
-        "python": "repro.core.kernel:verify_batch",
-        "tuple_class": "repro.core.candidates:CandidateTarget",
+        "python": "repro.core.scorer:PythonScorer.score",
+        "tuple_class": "repro.core.scorer:CandidateTarget",
     },
 )
 
@@ -59,8 +61,6 @@ def _closure(project: "ProjectContext", root_ref: str) -> List[str]:
     is driven via ``_EstimateBatch(...).run()``, whose method calls are
     not name-resolvable from the call expression alone.
     """
-    if root_ref not in project.functions:
-        return []
     root = project.functions[root_ref]
     module_facts = project.modules.get(root.module)
     seen: Set[str] = {root_ref}
@@ -144,10 +144,13 @@ class KernelParityRule(ProjectRule):
         self, project: "ProjectContext"
     ) -> Iterator[Diagnostic]:
         for group in self.groups:
+            roots = (group["numpy"], group["python"])
+            missing = [ref for ref in roots if ref not in project.functions]
+            if missing:
+                yield from self._unchecked(project, group, missing)
+                continue
             numpy_refs = _closure(project, group["numpy"])
             python_refs = _closure(project, group["python"])
-            if not numpy_refs or not python_refs:
-                continue  # twin not present in the analyzed tree
             class_name, fields = _tuple_fields(
                 project, group["tuple_class"]
             )
@@ -171,6 +174,36 @@ class KernelParityRule(ProjectRule):
                     missing_ref=group["python"],
                     extra=sorted(numpy_set - python_set),
                 )
+
+    def _unchecked(
+        self,
+        project: "ProjectContext",
+        group: Dict[str, str],
+        missing: List[str],
+    ) -> Iterator[Diagnostic]:
+        """A group whose root is gone would otherwise pass vacuously.
+
+        A root whose whole module is outside the analyzed tree is a
+        partial lint run and stays silent; a module that is present but
+        no longer defines the root means the twin was renamed or deleted
+        without repointing ``PARITY_GROUPS``.
+        """
+        for ref in missing:
+            facts = project.modules.get(ref.partition(":")[0])
+            if facts is None:
+                continue
+            yield Diagnostic(
+                path=facts.path,
+                line=1,
+                col=1,
+                code=self.code,
+                rule=self.name,
+                message=(
+                    f"kernel parity group '{group['group']}' is unchecked: "
+                    f"{ref} does not exist; repoint PARITY_GROUPS at the "
+                    "function that replaced it"
+                ),
+            )
 
     def _diff(
         self,

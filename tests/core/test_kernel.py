@@ -14,17 +14,24 @@ the strongest assertion.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import math
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import kernel
+from repro import obs
+from repro.core import kernel, scorer
 from repro.core.astar import BAStar
-from repro.core.greedy import EG, EGBW, EGC
+from repro.core.greedy import EG, EGBW, EGC, GreedyConfig
 from repro.core.objective import Objective
+from repro.core.scheduler import Ostro
 from repro.datacenter.loadgen import apply_random_load
 from repro.datacenter.state import DataCenterState
 from repro.errors import PlacementError
+from repro.lint.symbols import VOLATILE_EVENT_KEYS
 from tests.conftest import make_three_tier
 from tests.test_properties import small_cloud, topologies
 
@@ -62,12 +69,139 @@ class TestKernelSelection:
             assert kernel.get_kernel() == "python"
         assert kernel.get_kernel() == before
 
-    def test_crosscheck_implies_numpy_active(self):
-        with kernel.use_kernel("crosscheck"):
-            assert kernel.numpy_active()
-            assert kernel.crosscheck_active()
-        with kernel.use_kernel("python"):
-            assert not kernel.numpy_active()
+    @pytest.mark.parametrize("name, scorer_type", [
+        ("python", scorer.PythonScorer),
+        ("numpy", scorer.NumpyScorer),
+        ("crosscheck", scorer.CrosscheckScorer),
+    ])
+    def test_each_kernel_yields_its_scorer(self, name, scorer_type):
+        with kernel.use_kernel(name):
+            assert type(scorer.active_scorer()) is scorer_type
+
+    def test_environment_selects_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_kernel", None)
+        monkeypatch.setenv("REPRO_KERNEL", " Crosscheck ")
+        assert kernel.get_kernel() == "crosscheck"
+        assert type(scorer.active_scorer()) is scorer.CrosscheckScorer
+
+    def test_misspelt_environment_kernel_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_kernel", None)
+        monkeypatch.setenv("REPRO_KERNEL", "crosschek")
+        with pytest.raises(ValueError, match="crosschek.*'crosscheck'"):
+            scorer.active_scorer()
+
+    @pytest.mark.parametrize("name", ["numpy", "crosscheck"])
+    def test_numpy_kernels_without_numpy_fail_loudly(self, monkeypatch, name):
+        monkeypatch.setattr(kernel, "_kernel", None)
+        monkeypatch.setattr(kernel, "HAVE_NUMPY", False)
+        monkeypatch.setenv("REPRO_KERNEL", name)
+        with pytest.raises(ValueError, match="requires numpy"):
+            scorer.active_scorer()
+        monkeypatch.delenv("REPRO_KERNEL")
+        assert type(scorer.active_scorer()) is scorer.PythonScorer
+
+
+class _PerturbedScorer(scorer.NumpyScorer):
+    """The array kernel with one of its three results off by the least
+    possible amount: a dropped candidate, or one float moved one ulp."""
+
+    def __init__(self, point):
+        self.point = point
+
+    def candidates(self, partial, node_name, dedup, limit):
+        found = super().candidates(partial, node_name, dedup, limit)
+        return found[:-1] if self.point == "candidates" else found
+
+    def immediate_costs(self, partial, objective, node_name, targets):
+        costs = super().immediate_costs(partial, objective, node_name, targets)
+        if self.point == "immediate_costs":
+            costs[0] = math.nextafter(costs[0], math.inf)
+        return costs
+
+    def score(self, partial, node_name, targets, rest, objective, estimator):
+        batch = super().score(
+            partial, node_name, targets, rest, objective, estimator
+        )
+        if self.point == "score" and batch:
+            value, est_bw, est_c = batch[0]
+            batch[0] = (math.nextafter(value, math.inf), est_bw, est_c)
+        return batch
+
+
+class TestCrosscheckTrips:
+    """Crosscheck must be able to fail: each comparison point, perturbed
+    on the fast side only, raises :class:`KernelMismatch`."""
+
+    def _place(self, monkeypatch, small_dc, point):
+        monkeypatch.setitem(
+            scorer._SCORERS, "crosscheck",
+            scorer.CrosscheckScorer(fast=_PerturbedScorer(point)),
+        )
+        # the cap makes the search preselect, so immediate costs are used
+        algorithm = EG(GreedyConfig(max_full_candidates=2))
+        return _run(
+            algorithm, make_three_tier(), small_dc,
+            DataCenterState(small_dc), "crosscheck",
+        )
+
+    def test_unperturbed_fast_side_passes(self, monkeypatch, small_dc):
+        self._place(monkeypatch, small_dc, None)
+
+    @pytest.mark.parametrize("point, message", [
+        ("candidates", "candidate set mismatch"),
+        ("immediate_costs", "immediate cost mismatch"),
+        ("score", "batch score mismatch"),
+    ])
+    def test_each_comparison_point_trips(
+        self, monkeypatch, small_dc, point, message
+    ):
+        with pytest.raises(kernel.KernelMismatch, match=message):
+            self._place(monkeypatch, small_dc, point)
+
+
+def _trajectory(algorithm, topo, cloud, state, kernel_name):
+    """(result, event stream without the volatile keys) of one run."""
+    with obs.use(obs.TelemetryRecorder()) as rec:
+        result = _run(algorithm, topo, cloud, state, kernel_name)
+    events = [
+        (
+            event.type,
+            {
+                key: value
+                for key, value in event.fields.items()
+                if key not in VOLATILE_EVENT_KEYS
+            },
+        )
+        for event in rec.events.events
+    ]
+    return result, events
+
+
+class TestStateViewCache:
+    def test_scratch_states_die_with_their_search(self, small_dc):
+        """The mirror cache is keyed weakly by state; a view holding its
+        state strongly kept every scratch clone of every search alive."""
+
+        def live():
+            gc.collect()
+            states = sum(
+                isinstance(o, DataCenterState) for o in gc.get_objects()
+            )
+            return states, len(kernel.StateView._CACHE)
+
+        ostro = Ostro(small_dc)
+        topo = make_three_tier()
+
+        def place_and_remove():
+            ostro.place(topo, "ba*", commit=True)
+            ostro.remove(topo.name)
+
+        with kernel.use_kernel("numpy"):
+            place_and_remove()  # whatever the long-lived state caches
+            before = live()
+            for _ in range(5):
+                place_and_remove()
+            assert live() == before
 
 
 class TestFixedTopologyEquivalence:
@@ -78,15 +212,16 @@ class TestFixedTopologyEquivalence:
         topo = make_three_tier()
         state = DataCenterState(small_dc)
         apply_random_load(state, fraction_hosts=0.3, seed=7)
-        results = {
-            name: _run(algo_factory(), topo, small_dc, state, name)
+        (py, py_events), (np_, np_events) = (
+            _trajectory(algo_factory(), topo, small_dc, state, name)
             for name in ("python", "numpy")
-        }
-        py, np_ = results["python"], results["numpy"]
+        )
         assert py.objective_value == np_.objective_value
         assert _placement_blob(py) == _placement_blob(np_)
-        assert py.stats.candidates_scored == np_.stats.candidates_scored
-        assert py.stats.paths_expanded == np_.stats.paths_expanded
+        assert dataclasses.replace(
+            py.stats, runtime_s=0.0
+        ) == dataclasses.replace(np_.stats, runtime_s=0.0)
+        assert py_events and py_events == np_events
 
     def test_three_tier_crosscheck_clean(self, small_dc):
         topo = make_three_tier()

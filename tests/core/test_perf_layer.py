@@ -10,9 +10,8 @@ Covers the regression fixes and invariants the performance work relies on:
 * ``candidate_targets(limit=..., dedup=True)`` honors the limit while
   still folding multiplicities over the full host scan;
 * assign/unassign on a :class:`PartialPlacement` is a bit-exact no-op in
-  LIFO order (the clone-free scoring invariant);
-* scratch (clone-free) candidate scoring in BA* produces byte-identical
-  placements to the legacy clone-per-candidate path;
+  LIFO order (the invariant ``PythonScorer.score`` relies on to score on
+  the search path itself);
 * the admissible estimator never exceeds the bandwidth of any feasible
   completion on exhaustively enumerable topologies (hypothesis).
 """
@@ -214,30 +213,6 @@ class TestExactUndo:
         for got_row, want_row in zip(snap, fresh):
             for got, want in zip(got_row, want_row):
                 assert got == pytest.approx(want)
-
-
-class TestScratchScoringEquivalence:
-    @pytest.mark.parametrize("symmetry", [True, False])
-    def test_ba_star_placements_identical(self, small_dc, three_tier, symmetry):
-        state = DataCenterState(small_dc)
-        objective = Objective.for_topology(three_tier, small_dc)
-        results = {}
-        for scratch in (True, False):
-            algo = BAStar(
-                GreedyConfig(),
-                symmetry_reduction=symmetry,
-                max_expansions=40,
-                scratch_scoring=scratch,
-            )
-            results[scratch] = algo.place(
-                three_tier, small_dc, state.clone(), objective
-            )
-        fast, slow = results[True], results[False]
-        assert fast.placement.assignments == slow.placement.assignments
-        assert fast.objective_value == slow.objective_value
-        assert fast.stats.candidates_scored == slow.stats.candidates_scored
-        assert fast.stats.paths_expanded == slow.stats.paths_expanded
-        assert fast.stats.paths_pruned == slow.stats.paths_pruned
 
 
 class TestSignatureEquivalenceClasses:

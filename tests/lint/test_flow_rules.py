@@ -7,9 +7,13 @@ OST010/OST011/OST012 need the cross-file view and run through
 
 from __future__ import annotations
 
+import importlib
 import textwrap
 
+import pytest
+
 from repro.lint import lint_project_sources, lint_source
+from repro.lint.rules.parity import PARITY_GROUPS, KernelParityRule
 
 
 def codes(diags, code):
@@ -430,7 +434,7 @@ class TestCrossModuleWrites:
         assert codes(diags, "OST011") == []
 
 
-CANDIDATES_MODULE = """
+SCORER_MODULE = """
     from typing import NamedTuple
 
 
@@ -440,20 +444,25 @@ CANDIDATES_MODULE = """
         disk: float
 
 
-    def candidate_targets(tuples):
-        return [t.host for t in tuples if t.cpu > 0]
+    class PythonScorer:
+        def candidates(self, tuples):
+            return [t.host for t in tuples if t.cpu > 0]
     """
 
 
-def lint_parity_project(kernel_source, candidates_source=CANDIDATES_MODULE):
-    files = [
-        ("src/repro/core/candidates.py", textwrap.dedent(candidates_source)),
-        ("src/repro/core/kernel.py", textwrap.dedent(kernel_source)),
-    ]
+def lint_parity_project(kernel_source, scorer_source=SCORER_MODULE):
+    files = {
+        "src/repro/core/scorer.py": scorer_source,
+        "src/repro/core/kernel.py": kernel_source,
+    }
     return lint_project_sources(
-        files,
+        [
+            (path, textwrap.dedent(source))
+            for path, source in files.items()
+            if source is not None
+        ],
         modules={
-            "src/repro/core/candidates.py": "repro.core.candidates",
+            "src/repro/core/scorer.py": "repro.core.scorer",
             "src/repro/core/kernel.py": "repro.core.kernel",
         },
     )
@@ -461,6 +470,10 @@ def lint_parity_project(kernel_source, candidates_source=CANDIDATES_MODULE):
 
 class TestKernelParity:
     """OST012: numpy/python twins must touch identical footprints."""
+
+    @pytest.fixture(autouse=True)
+    def only_the_group_the_fixtures_define(self, monkeypatch):
+        monkeypatch.setattr(KernelParityRule, "groups", PARITY_GROUPS[:1])
 
     def test_field_drift_fires_on_the_blind_side(self):
         diags = lint_parity_project(
@@ -472,9 +485,9 @@ class TestKernelParity:
         found = codes(diags, "OST012")
         assert len(found) == 1
         # the python side never touches 'disk'; report lands there
-        assert found[0].path == "src/repro/core/candidates.py"
+        assert found[0].path == "src/repro/core/scorer.py"
         assert "disk" in found[0].message
-        assert "candidate_targets" in found[0].message
+        assert "PythonScorer.candidates" in found[0].message
 
     def test_matching_footprints_are_clean(self):
         diags = lint_parity_project(
@@ -532,11 +545,37 @@ class TestKernelParity:
         assert "kernel.batches" in found[0].message
         assert "metric" in found[0].message
 
-    def test_missing_twin_is_skipped(self):
+    def test_renamed_twin_fires_instead_of_going_vacuous(self):
+        # the module is analyzed but no longer defines the group's root:
+        # the twin was renamed or deleted without repointing the groups
         diags = lint_parity_project(
             """
-            def unrelated(tuples):
-                return len(tuples)
+            def candidate_targets_array(tuples):
+                return [(t.host, t.cpu, t.disk) for t in tuples]
             """
         )
+        found = codes(diags, "OST012")
+        assert len(found) == 1
+        assert found[0].path == "src/repro/core/kernel.py"
+        assert "unchecked" in found[0].message
+        assert "candidate_targets_numpy" in found[0].message
+
+    def test_missing_twin_is_skipped(self):
+        # a twin whose whole module is outside the analyzed tree is a
+        # partial lint run, not drift
+        diags = lint_parity_project(
+            """
+            def candidate_targets_numpy(tuples):
+                return [(t.host, t.cpu, t.disk) for t in tuples]
+            """,
+            scorer_source=None,
+        )
         assert codes(diags, "OST012") == []
+
+    def test_every_group_root_exists_in_this_repo(self):
+        for group in PARITY_GROUPS:
+            for key in ("numpy", "python", "tuple_class"):
+                module, _, qualname = group[key].partition(":")
+                found = importlib.import_module(module)
+                for part in qualname.split("."):
+                    found = getattr(found, part)
