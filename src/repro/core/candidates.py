@@ -24,17 +24,20 @@ disabled (``dedup=False``) for ablation.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.placement import PartialPlacement
-from repro.core.scorer import CandidateTarget, active_scorer
+from repro.core.scorer import CandidateBlock, CandidateTarget, active_scorer
+
+__all__ = ["CandidateBlock", "CandidateTarget", "candidate_targets"]
+
 
 def candidate_targets(
     partial: PartialPlacement,
     node_name: str,
     dedup: bool = True,
     limit: Optional[int] = None,
-) -> List[CandidateTarget]:
+) -> CandidateBlock:
     """Feasible targets for a node, optionally deduplicated.
 
     Args:
@@ -51,8 +54,10 @@ def candidate_targets(
             full-scan multiplicities.
 
     Returns:
-        Feasible :class:`CandidateTarget` records in ascending host order.
-        Empty when the node cannot be placed anywhere right now.
+        The feasible targets in ascending host order, as a
+        :class:`~repro.core.scorer.CandidateBlock`: a sequence of
+        :class:`CandidateTarget` records held as columns. Empty when the
+        node cannot be placed anywhere right now.
 
     The scan itself belongs to the active kernel's scorer
     (:mod:`repro.core.scorer`); results are bit-identical on every kernel.

@@ -223,9 +223,7 @@ def topology_obviously_infeasible(
     impossible inputs.
     """
     cloud = partial.state.cloud
-    max_cpu = max(h.cpu_cores for h in cloud.hosts)
-    max_mem = max(h.mem_gb for h in cloud.hosts)
-    max_disk = max((d.capacity_gb for d in cloud.disks), default=0.0)
+    max_cpu, max_mem, max_disk, _ = cloud.largest_host()
     for name, node in topology.nodes.items():
         if node.is_vm:
             if node.vcpus > max_cpu or node.mem_gb > max_mem:

@@ -13,9 +13,19 @@
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro import obs
 from repro.core.base import PlacementAlgorithm, PlacementResult, SearchStats
@@ -24,7 +34,7 @@ from repro.core.constraints import topology_obviously_infeasible
 from repro.core.heuristic import EstimatorConfig, LowerBoundEstimator
 from repro.core.objective import Objective
 from repro.core.placement import PartialPlacement
-from repro.core.scorer import Scorer, active_scorer
+from repro.core.scorer import CandidateBlock, Scorer, active_scorer
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.model import Cloud
 from repro.datacenter.network import PathResolver
@@ -182,24 +192,29 @@ def preselect(
     partial: PartialPlacement,
     objective: Objective,
     node_name: str,
-    targets: List[CandidateTarget],
+    targets: CandidateBlock,
     cap: Optional[int],
-) -> Tuple[List[CandidateTarget], List[CandidateTarget]]:
+) -> Tuple[List[CandidateTarget], Iterator[CandidateTarget]]:
     """Split ``targets`` into the ``cap`` cheapest and the rest.
 
     Cheapest by the immediate-cost proxy (the objective after placing only
-    this node); both parts come back in ascending cost order, ties keeping
+    this node); both parts come in ascending cost order, ties keeping
     input order. Estimating hundreds of near-symmetric candidates would
     starve the search of depth, so EG and BA* estimate only the head. With
     no cap, or no more than ``cap`` targets, nothing is ranked.
+
+    Only the head is built as records. The rest is an iterator that
+    builds a record when asked for one: BA* drops it unread, and greedy
+    reads it only when a backjump exhausts the head.
     """
     if cap is None or len(targets) <= cap:
-        return targets, []
+        return list(targets), iter(())
     costs = scorer.immediate_costs(partial, objective, node_name, targets)
-    ranked = [
-        targets[i] for i in sorted(range(len(targets)), key=costs.__getitem__)
-    ]
-    return ranked[:cap], ranked[cap:]
+    ranked = sorted(range(len(targets)), key=costs.__getitem__)
+    return (
+        [targets[i] for i in ranked[:cap]],
+        map(targets.__getitem__, ranked[cap:]),
+    )
 
 
 def record_estimate(
@@ -349,14 +364,14 @@ def run_greedy_from(
     rec = obs.get_recorder()
     scorer = active_scorer()
 
-    def ranked_candidates(node_name: str) -> List[CandidateTarget]:
+    def ranked_candidates(node_name: str) -> Iterator[CandidateTarget]:
         """Feasible targets best-first: estimate-scored head + proxy tail."""
-        targets = candidate_targets(partial, node_name, dedup=config.dedup)
+        block = candidate_targets(partial, node_name, dedup=config.dedup)
         if tie_key is not None:
             # stable sort: tie_key settles equal-cost candidates below
-            targets.sort(key=tie_key)
+            block = CandidateBlock.of(sorted(block, key=tie_key))
         targets, tail = preselect(
-            scorer, partial, objective, node_name, targets,
+            scorer, partial, objective, node_name, block,
             config.max_full_candidates,
         )
         rest = [
@@ -375,7 +390,7 @@ def run_greedy_from(
             )
             scored.append((score, rank))
         scored.sort()
-        return [targets[rank] for _, rank in scored] + tail
+        return itertools.chain([targets[rank] for _, rank in scored], tail)
 
     backtracking_place(
         partial, order, ranked_candidates, config.max_backtracks, stats
@@ -385,31 +400,33 @@ def run_greedy_from(
 def backtracking_place(
     partial: PartialPlacement,
     order: List[str],
-    rank_fn: Callable[[str], List[CandidateTarget]],
+    rank_fn: Callable[[str], Iterable[CandidateTarget]],
     max_backtracks: int,
     stats: SearchStats,
 ) -> None:
     """Place ``order`` one node at a time with neighbor-directed backjumping.
 
     ``rank_fn(node_name)`` must return that node's feasible candidates,
-    best first, evaluated against the current ``partial``. When a node has
-    no candidates, the search jumps back to the most recent *conflicting*
-    decision: a placed neighbor of the failing node, or any node sharing a
-    host with a placed neighbor (those are the placements that drain the
-    capacity and NIC bandwidth the failing node needs). Up to
-    ``max_backtracks`` jumps are spent before giving up.
+    best first, evaluated against the current ``partial``; they are
+    consumed one ``next()`` at a time, so a lazy tail is only built when
+    a backjump reaches it. When a node has no candidates left, the search
+    jumps back to the most recent *conflicting* decision: a placed
+    neighbor of the failing node, or any node sharing a host with a placed
+    neighbor (those are the placements that drain the capacity and NIC
+    bandwidth the failing node needs). Up to ``max_backtracks`` jumps are
+    spent before giving up.
     """
     # Level i holds the not-yet-tried candidates for order[i].
     rec = obs.get_recorder()
-    pending: List[List[CandidateTarget]] = []
+    pending: List[Iterator[CandidateTarget]] = []
     backtracks = 0
     level = 0
     while level < len(order):
         node_name = order[level]
         if len(pending) == level:
-            pending.append(rank_fn(node_name))
-        candidates = pending[level]
-        if not candidates:
+            pending.append(iter(rank_fn(node_name)))
+        target = next(pending[level], None)
+        if target is None:
             if level == 0 or backtracks >= max_backtracks:
                 raise PlacementError(
                     f"no feasible host for node {node_name!r}",
@@ -445,7 +462,6 @@ def backtracking_place(
             backtracks += 1
             stats.backtracks = backtracks
             continue
-        target = candidates.pop(0)
         partial.assign(node_name, target.host, target.disk)
         if rec.enabled:
             rec.event(
@@ -497,8 +513,8 @@ class EGC(PlacementAlgorithm):
             apply_pinned(partial, pinned)
 
             def tightest_fit_first(node_name: str) -> List[CandidateTarget]:
-                targets = candidate_targets(
-                    partial, node_name, dedup=self.dedup
+                targets = list(
+                    candidate_targets(partial, node_name, dedup=self.dedup)
                 )
                 stats.candidates_scored += len(targets)
                 node = topology.node(node_name)

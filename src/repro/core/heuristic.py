@@ -117,12 +117,12 @@ class LowerBoundEstimator:
         self.cloud = cloud
         self.config = config or EstimatorConfig()
         self.resolver = resolver or PathResolver.for_cloud(cloud)
-        self._imaginary_cpu = max(h.cpu_cores for h in cloud.hosts)
-        self._imaginary_mem = max(h.mem_gb for h in cloud.hosts)
-        self._imaginary_disk = max(
-            (d.capacity_gb for d in cloud.disks), default=0.0
-        )
-        self._imaginary_nic = max(h.nic_bw_mbps for h in cloud.hosts)
+        (
+            self._imaginary_cpu,
+            self._imaginary_mem,
+            self._imaginary_disk,
+            self._imaginary_nic,
+        ) = cloud.largest_host()
         # refreshed from the state on every estimate() call
         self._cpu_factor = 1.0
         # NIC-bandwidth capacity tracking gives the informative estimator
@@ -130,7 +130,7 @@ class LowerBoundEstimator:
         # neighbors behind drained NICs (the paper's capacity constraints
         # include bandwidth). The admissible variant stays optimistic.
         self._track_nic = not self.config.optimistic_colocation
-        # hop minima per separation distance, precomputed once
+        # hop minima per separation distance (memoised by the cloud)
         self._min_hops: List[float] = [0.0] * 5
         for dist in range(1, 5):
             try:

@@ -75,10 +75,10 @@ from repro.datacenter.resources import EPSILON
 from repro.datacenter.state import DataCenterState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.candidates import CandidateTarget
     from repro.core.heuristic import LowerBoundEstimator
     from repro.core.objective import Objective
     from repro.core.placement import PartialPlacement
+    from repro.core.scorer import CandidateBlock, CandidateTarget
     from repro.core.topology import ApplicationTopology
 
 try:  # NumPy is optional: the python kernel needs nothing beyond stdlib
@@ -243,22 +243,18 @@ class CloudArrays:
 
     @property
     def distance_matrix(self) -> Any:
-        """Full (H, H) separation-distance matrix (built lazily)."""
+        """Full (H, H) separation-distance matrix (built lazily).
+
+        ``int8``: the values are 0..4, and at 2400 hosts an ``int64``
+        matrix plus the temporaries of a nested ``np.where`` is most of
+        the process's memory. One boolean mask per level at a time,
+        widest scope last so it wins.
+        """
         if self._distance_matrix is None:
-            host_id, rack_id, pod_id, dc_id = self.unit_id_arrays
-            matrix = np.where(
-                dc_id[:, None] != dc_id[None, :],
-                4,
-                np.where(
-                    pod_id[:, None] != pod_id[None, :],
-                    3,
-                    np.where(
-                        rack_id[:, None] != rack_id[None, :],
-                        2,
-                        np.where(host_id[:, None] != host_id[None, :], 1, 0),
-                    ),
-                ),
-            ).astype(np.int64)
+            num_hosts = len(self.chain_len)
+            matrix = np.zeros((num_hosts, num_hosts), dtype=np.int8)
+            for distance, ids in enumerate(self.unit_id_arrays, start=1):
+                matrix[ids[:, None] != ids[None, :]] = distance
             matrix.setflags(write=False)
             self._distance_matrix = matrix
         return self._distance_matrix
@@ -353,8 +349,12 @@ class StateView:
 
     Refreshed lazily: the state's ``version`` counter (bumped by every
     mutator, including fault injection and the bit-exact undo path) gates
-    re-copying, so bursts of candidate generations against an unchanged
-    state reuse the same arrays.
+    refreshing, so bursts of candidate generations against an unchanged
+    state reuse the same arrays. A stale view re-reads only the slots the
+    state journalled since the view's version
+    (:meth:`DataCenterState.written_since`); when the journal does not
+    reach back that far -- a new view, a ``restore``, a fault, an
+    overflow -- it re-copies all five lists.
     """
 
     _CACHE: "WeakKeyDictionary[DataCenterState, StateView]" = (
@@ -380,13 +380,27 @@ class StateView:
         self.active: Any = None
 
     def refresh(self, state: DataCenterState) -> None:
-        if self.version == state.version and self.cpu_free is not None:
+        if self.version == state.version:
             return
-        self.cpu_free = np.array(state.free_cpu, dtype=np.float64)
-        self.mem_free = np.array(state.free_mem, dtype=np.float64)
-        self.disk_free = np.array(state.free_disk, dtype=np.float64)
-        self.bw_free = np.array(state.free_bw, dtype=np.float64)
-        self.active = np.array(state.host_units, dtype=np.int64) > 0
+        written = state.written_since(self.version)
+        if written is None:
+            self.cpu_free = np.array(state.free_cpu, dtype=np.float64)
+            self.mem_free = np.array(state.free_mem, dtype=np.float64)
+            self.disk_free = np.array(state.free_disk, dtype=np.float64)
+            self.bw_free = np.array(state.free_bw, dtype=np.float64)
+            self.active = np.array(state.host_units, dtype=np.int64) > 0
+        else:
+            # current values, not replayed deltas: patching a slot twice,
+            # or in any order, lands on what the lists hold now
+            for hosts, disks, links in written:
+                for host in hosts:
+                    self.cpu_free[host] = state.free_cpu[host]
+                    self.mem_free[host] = state.free_mem[host]
+                    self.active[host] = state.host_units[host] > 0
+                for disk in disks:
+                    self.disk_free[disk] = state.free_disk[disk]
+                for link in links:
+                    self.bw_free[link] = state.free_bw[link]
         self.version = state.version
 
 
@@ -462,21 +476,39 @@ def _bandwidth_feasible(
     return ok
 
 
+def _block(
+    hosts: Any, disks: Optional[Any], keep: Any, multiplicities: Optional[Any]
+) -> "CandidateBlock":
+    """The ``keep`` entries of the host (and disk) index arrays as a
+    block; ``multiplicities`` None means one host per target."""
+    from repro.core.scorer import CandidateBlock
+
+    kept = hosts[keep].tolist()
+    return CandidateBlock(
+        hosts=kept,
+        disks=[None] * len(kept) if disks is None else disks[keep].tolist(),
+        multiplicities=(
+            [1] * len(kept) if multiplicities is None
+            else multiplicities.tolist()
+        ),
+    )
+
+
 def candidate_targets_numpy(
     partial: "PartialPlacement",
     node_name: str,
     dedup: bool = True,
     limit: Optional[int] = None,
-) -> List["CandidateTarget"]:
+) -> "CandidateBlock":
     """Array twin of :meth:`repro.core.scorer.PythonScorer.candidates`.
 
     Feasibility is one boolean mask over all hosts (or disks); dedup is
     an ``np.unique`` over an integer signature matrix, with first-seen
     class order and full-scan multiplicities reproducing the reference
-    scan exactly, including its ``limit`` semantics.
+    scan exactly, including its ``limit`` semantics. The surviving
+    index arrays become the block's columns with one ``tolist`` each.
     """
     from repro.core import constraints
-    from repro.core.candidates import CandidateTarget
 
     node = partial.topology.node(node_name)
     state = partial.state
@@ -512,20 +544,8 @@ def candidate_targets_numpy(
         hosts = arrays.disk_host[disks]
 
     count = len(hosts)
-    if count == 0:
-        return []
-
-    if not dedup:
-        if limit is not None:
-            hosts = hosts[:limit]
-            if disks is not None:
-                disks = disks[:limit]
-        if disks is None:
-            return [CandidateTarget(host=int(h)) for h in hosts]
-        return [
-            CandidateTarget(host=int(h), disk=int(d))
-            for h, d in zip(hosts, disks)
-        ]
+    if not dedup or count == 0:
+        return _block(hosts, disks, slice(None, limit), None)
 
     placed_hosts = sorted(partial.placed_hosts())
     max_chain = arrays.chain_matrix.shape[1]
@@ -568,28 +588,8 @@ def candidate_targets_numpy(
         inverse = inverse.reshape(-1)
         first = np.full(len(counts), count, dtype=np.int64)
         np.minimum.at(first, inverse, np.arange(count, dtype=np.int64))
-    class_order = np.argsort(first, kind="stable")
-    if limit is not None:
-        class_order = class_order[:limit]
-    first_l = first.tolist()
-    counts_l = counts.tolist()
-    hosts_l = hosts.tolist()
-    if disks is None:
-        return [
-            CandidateTarget(
-                host=hosts_l[first_l[ci]], multiplicity=counts_l[ci]
-            )
-            for ci in class_order.tolist()
-        ]
-    disks_l = disks.tolist()
-    return [
-        CandidateTarget(
-            host=hosts_l[first_l[ci]],
-            disk=disks_l[first_l[ci]],
-            multiplicity=counts_l[ci],
-        )
-        for ci in class_order.tolist()
-    ]
+    class_order = np.argsort(first, kind="stable")[:limit]
+    return _block(hosts, disks, first[class_order], counts[class_order])
 
 
 # ----------------------------------------------------------------------
@@ -610,14 +610,14 @@ def immediate_costs(
     partial: "PartialPlacement",
     objective: "Objective",
     node_name: str,
-    targets: Sequence["CandidateTarget"],
+    targets: "CandidateBlock",
 ) -> List[float]:
     """Array twin of :meth:`repro.core.scorer.PythonScorer.immediate_costs`."""
     state = partial.state
     arrays = CloudArrays.for_cloud(state.cloud)
     view = StateView.for_state(state)
-    hosts = np.array([t.host for t in targets], dtype=np.int64)
-    delta_bw = np.zeros(len(targets))
+    hosts = np.array(targets.hosts, dtype=np.int64)
+    delta_bw = np.zeros(len(hosts))
     for neighbor, bw in partial.topology.neighbors(node_name):
         assigned = partial.assignments.get(neighbor)
         if assigned is not None and bw > 0:

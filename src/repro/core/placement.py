@@ -212,7 +212,7 @@ class PartialPlacement:
                 )
             else:
                 self.state.unplace_volume(disk, node.size_gb)
-            self._restore_saved(record)
+            self.state.restore_slots(record.saved)
             raise PlacementError(str(exc), node_name=node_name) from exc
 
         if not was_active:
@@ -224,19 +224,6 @@ class PartialPlacement:
         record.seq = self._seq
         self.assignments[node_name] = Assignment(node_name, host, disk)
         self._applied[node_name] = record
-
-    def _restore_saved(self, record: _AppliedNode) -> None:
-        """Overwrite touched float slots with their pre-assign values."""
-        state = self.state
-        arrays = {
-            "cpu": state.free_cpu,
-            "mem": state.free_mem,
-            "disk": state.free_disk,
-            "bw": state.free_bw,
-        }
-        for kind, index, value in record.saved:
-            arrays[kind][index] = value
-        state.version += 1
 
     def unassign(self, node_name: str) -> None:
         """Undo a previous :meth:`assign`, restoring the state exactly.
@@ -275,7 +262,7 @@ class PartialPlacement:
         else:
             self.state.unplace_volume(record.disk, node.size_gb)
         if is_last:
-            self._restore_saved(record)
+            self.state.restore_slots(record.saved)
             self.ubw = record.prev_ubw
         else:
             self.ubw -= record.added_ubw

@@ -19,8 +19,20 @@ loops never ask which one they got.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    TypeVar,
+    Union,
+    overload,
+)
 
 from repro.core import constraints, kernel
 from repro.core.heuristic import LowerBoundEstimator
@@ -45,6 +57,72 @@ class CandidateTarget:
     multiplicity: int = 1
 
 
+@dataclass(frozen=True, eq=False)
+class CandidateBlock(Sequence[CandidateTarget]):
+    """The feasible targets of one node, as three parallel columns.
+
+    What :meth:`Scorer.candidates` returns. A scan of a large cloud
+    yields a thousand-odd classes of which the search keeps a few dozen,
+    so the targets stay columns (plain Python lists, ascending host
+    order) and a :class:`CandidateTarget` record exists only for an
+    entry somebody indexes or iterates to.
+
+    Attributes:
+        hosts: global host index per target.
+        disks: global disk index per target (None entries for a VM).
+        multiplicities: interchangeable hosts each target stands for.
+    """
+
+    hosts: List[int]
+    disks: List[Optional[int]]
+    multiplicities: List[int]
+
+    @classmethod
+    def of(cls, records: Iterable[CandidateTarget]) -> "CandidateBlock":
+        """The block holding ``records``, in their order."""
+        kept = list(records)
+        return cls(
+            hosts=[t.host for t in kept],
+            disks=[t.disk for t in kept],
+            multiplicities=[t.multiplicity for t in kept],
+        )
+
+    def __len__(self) -> int:
+        return len(self.hosts)
+
+    def __iter__(self) -> Iterator[CandidateTarget]:
+        return map(
+            CandidateTarget, self.hosts, self.disks, self.multiplicities
+        )
+
+    @overload
+    def __getitem__(self, index: int) -> CandidateTarget: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "CandidateBlock": ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[CandidateTarget, "CandidateBlock"]:
+        if isinstance(index, slice):
+            return CandidateBlock(
+                self.hosts[index],
+                self.disks[index],
+                self.multiplicities[index],
+            )
+        return CandidateTarget(
+            self.hosts[index], self.disks[index], self.multiplicities[index]
+        )
+
+    def __eq__(self, other: object) -> bool:
+        """Equal to any sequence holding the same records in order."""
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+
 #: one scored target: (score, estimated bandwidth, estimated hosts)
 Scored = Tuple[float, float, int]
 
@@ -58,7 +136,7 @@ class Scorer(Protocol):
         node_name: str,
         dedup: bool,
         limit: Optional[int],
-    ) -> List[CandidateTarget]:
+    ) -> CandidateBlock:
         """Feasible targets in ascending host order; see
         :func:`repro.core.candidates.candidate_targets`."""
 
@@ -67,9 +145,10 @@ class Scorer(Protocol):
         partial: PartialPlacement,
         objective: Objective,
         node_name: str,
-        targets: Sequence[CandidateTarget],
+        targets: CandidateBlock,
     ) -> List[float]:
-        """Per target, the objective after placing only this node."""
+        """Per target, the objective after placing only this node (only
+        the host column is read)."""
 
     def score(
         self,
@@ -94,7 +173,7 @@ class PythonScorer:
         node_name: str,
         dedup: bool,
         limit: Optional[int],
-    ) -> List[CandidateTarget]:
+    ) -> CandidateBlock:
         node = partial.topology.node(node_name)
         state = partial.state
         cloud = state.cloud
@@ -125,7 +204,9 @@ class PythonScorer:
                 for index, disk in enumerate(cloud.disks)
                 if state.volume_fits(index, node.size_gb)
             )
-        results: List[CandidateTarget] = []
+        hosts: List[int] = []
+        disks: List[Optional[int]] = []
+        multiplicities: List[int] = []
         seen: Dict[tuple, int] = {}
         for index, host, disk in slots:
             if not (
@@ -146,37 +227,36 @@ class PythonScorer:
                 )
                 existing = seen.get(sig)
                 if existing is not None:
-                    results[existing] = replace(
-                        results[existing],
-                        multiplicity=results[existing].multiplicity + 1,
-                    )
+                    multiplicities[existing] += 1
                     continue
-                if limit is not None and len(results) >= limit:
+                if limit is not None and len(hosts) >= limit:
                     continue  # keep scanning only to fold multiplicities
-                seen[sig] = len(results)
-            results.append(CandidateTarget(host=host, disk=disk))
-            if limit is not None and not dedup and len(results) >= limit:
+                seen[sig] = len(hosts)
+            hosts.append(host)
+            disks.append(disk)
+            multiplicities.append(1)
+            if limit is not None and not dedup and len(hosts) >= limit:
                 break
-        return results
+        return CandidateBlock(
+            hosts=hosts, disks=disks, multiplicities=multiplicities
+        )
 
     def immediate_costs(
         self,
         partial: PartialPlacement,
         objective: Objective,
         node_name: str,
-        targets: Sequence[CandidateTarget],
+        targets: CandidateBlock,
     ) -> List[float]:
         resolver = partial.resolver
         costs = []
-        for target in targets:
+        for host in targets.hosts:
             delta_bw = 0.0
             for neighbor, bw in partial.topology.neighbors(node_name):
                 assigned = partial.assignments.get(neighbor)
                 if assigned is not None and bw > 0:
-                    delta_bw += bw * len(
-                        resolver.path(target.host, assigned.host)
-                    )
-            activation = 0 if partial.state.host_is_active(target.host) else 1
+                    delta_bw += bw * len(resolver.path(host, assigned.host))
+            activation = 0 if partial.state.host_is_active(host) else 1
             costs.append(
                 objective.score(partial.ubw + delta_bw, partial.uc + activation)
             )
@@ -220,7 +300,7 @@ class NumpyScorer:
         node_name: str,
         dedup: bool,
         limit: Optional[int],
-    ) -> List[CandidateTarget]:
+    ) -> CandidateBlock:
         return kernel.candidate_targets_numpy(
             partial, node_name, dedup=dedup, limit=limit
         )
@@ -230,7 +310,7 @@ class NumpyScorer:
         partial: PartialPlacement,
         objective: Objective,
         node_name: str,
-        targets: Sequence[CandidateTarget],
+        targets: CandidateBlock,
     ) -> List[float]:
         return kernel.immediate_costs(partial, objective, node_name, targets)
 
@@ -248,7 +328,12 @@ class NumpyScorer:
         )
 
 
-def _agreed(what: str, node_name: str, fast: list, reference: list) -> list:
+_Results = TypeVar("_Results", bound=Sequence[object])
+
+
+def _agreed(
+    what: str, node_name: str, fast: _Results, reference: Sequence[object]
+) -> _Results:
     """``fast`` if it equals ``reference`` bit for bit, else raise."""
     if fast != reference:
         at = next(
@@ -280,7 +365,7 @@ class CrosscheckScorer:
         node_name: str,
         dedup: bool,
         limit: Optional[int],
-    ) -> List[CandidateTarget]:
+    ) -> CandidateBlock:
         fast = self.fast.candidates(partial, node_name, dedup, limit)
         reference = self.reference.candidates(partial, node_name, dedup, limit)
         return _agreed("candidate set", node_name, fast, reference)
@@ -290,7 +375,7 @@ class CrosscheckScorer:
         partial: PartialPlacement,
         objective: Objective,
         node_name: str,
-        targets: Sequence[CandidateTarget],
+        targets: CandidateBlock,
     ) -> List[float]:
         args = (partial, objective, node_name, targets)
         fast = self.fast.immediate_costs(*args)

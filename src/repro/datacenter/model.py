@@ -210,6 +210,10 @@ class Cloud:
         self._uplink_chains: List[Tuple[int, ...]] = [
             tuple(link for link, _ in chain) for chain in self._chains
         ]
+        # Memos of per-cloud constants every search asks for, filled on
+        # first use (the structure never changes after _index()).
+        self._min_hops: Dict[int, Optional[int]] = {}
+        self._largest_host: Optional[Tuple[float, float, float, float]] = None
 
     # ------------------------------------------------------------------
     # indexing
@@ -400,17 +404,33 @@ class Cloud:
         """
         if dist <= 0:
             return 0
-        best: Optional[int] = None
-        for chain in self._chains:
-            # steps needed on one side to reach a switch at/above `dist`
-            steps = self._steps_for_distance(chain, dist)
-            if steps is not None and (best is None or steps < best):
-                best = steps
-        if best is None:
+        if dist not in self._min_hops:
+            best: Optional[int] = None
+            for chain in self._chains:
+                # steps needed on one side to reach a switch at/above `dist`
+                steps = self._steps_for_distance(chain, dist)
+                if steps is not None and (best is None or steps < best):
+                    best = steps
+            self._min_hops[dist] = best
+        memo = self._min_hops[dist]
+        if memo is None:
             raise DataCenterError(
                 f"cloud cannot separate hosts at distance {dist}"
             )
-        return 2 * best
+        return 2 * memo
+
+    def largest_host(self) -> Tuple[float, float, float, float]:
+        """Largest ``(cpu_cores, mem_gb, disk capacity_gb, nic_bw_mbps)``
+        any host (or disk) of the cloud offers, each taken on its own:
+        the size of the estimator's imaginary host."""
+        if self._largest_host is None:
+            self._largest_host = (
+                max(h.cpu_cores for h in self.hosts),
+                max(h.mem_gb for h in self.hosts),
+                max((d.capacity_gb for d in self.disks), default=0.0),
+                max(h.nic_bw_mbps for h in self.hosts),
+            )
+        return self._largest_host
 
     @staticmethod
     def _steps_for_distance(

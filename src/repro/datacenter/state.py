@@ -15,6 +15,12 @@ The search algorithms clone states when branching (``clone`` is a handful of
 search path. All mutating operations validate capacity and raise
 :class:`repro.errors.CapacityError` on violation, leaving the state
 unchanged.
+
+Every mutator ends in :meth:`DataCenterState._wrote`, the one place
+``version`` changes, which also journals the slots the mutator wrote. An
+array mirror (:class:`repro.core.kernel.StateView`) asks
+:meth:`DataCenterState.written_since` and patches those slots instead of
+re-copying every list.
 """
 
 from __future__ import annotations
@@ -38,6 +44,14 @@ if TYPE_CHECKING:  # pragma: no cover - layering: core imports datacenter
     from repro.core.topology import VM
 from repro.datacenter.resources import EPSILON
 from repro.errors import CapacityError, DataCenterError, ReproError
+
+#: one journal entry: the (hosts, disks, links) one mutator call wrote
+Written = Tuple[Sequence[int], Sequence[int], Sequence[int]]
+
+#: journal entries kept before the journal is dropped. A mirror refreshes
+#: every few mutations (one candidate scan per placed node), so a longer
+#: journal would only be replayed by a reader that is cheaper rebuilt.
+_JOURNAL_CAP = 64
 
 
 class _DownHost:
@@ -91,6 +105,11 @@ class DataCenterState:
         #: monotonically bumped on every mutation; lets array mirrors
         #: (repro.core.kernel.StateView) refresh only when stale
         self.version: int = 0
+        # _journal[i] is what the mutation to version _journal_epoch + i + 1
+        # wrote; the epoch is the version at which the journal last started
+        # empty (see _wrote).
+        self._journal: List[Written] = []
+        self._journal_epoch: int = 0
         #: fraction of its nominal vCPUs a best-effort VM reserves
         #: (Section VI's guaranteed-vs-best-effort CPU reservations)
         self.best_effort_cpu_factor = best_effort_cpu_factor
@@ -114,6 +133,8 @@ class DataCenterState:
         copy.free_bw = self.free_bw.copy()
         copy.host_units = self.host_units.copy()
         copy.version = 0
+        copy._journal = []
+        copy._journal_epoch = 0
         copy.best_effort_cpu_factor = self.best_effort_cpu_factor
         if self._down_hosts:
             copy._down_hosts = {
@@ -159,7 +180,61 @@ class DataCenterState:
         self.free_disk[:] = disk
         self.free_bw[:] = bw
         self.host_units[:] = [int(u) for u in units]
+        self._wrote(None)
+
+    def restore_slots(self, saved: Iterable[Tuple[str, int, float]]) -> None:
+        """Overwrite single free-array slots with values read earlier.
+
+        ``saved`` holds ``(kind, index, value)`` triples, kind one of
+        ``"cpu"``, ``"mem"``, ``"disk"``, ``"bw"``: the bit-exact undo of
+        :class:`repro.core.placement.PartialPlacement`, for the same
+        reason :meth:`restore` assigns instead of adding back.
+        """
+        hosts: List[int] = []
+        disks: List[int] = []
+        links: List[int] = []
+        for kind, index, value in saved:
+            if kind == "bw":
+                self.free_bw[index] = value
+                links.append(index)
+            elif kind == "cpu":
+                self.free_cpu[index] = value
+                hosts.append(index)
+            elif kind == "mem":
+                self.free_mem[index] = value
+                hosts.append(index)
+            elif kind == "disk":
+                self.free_disk[index] = value
+                disks.append(index)
+            else:
+                raise ValueError(f"unknown resource kind {kind!r}")
+        self._wrote((hosts, disks, links))
+
+    def _wrote(self, written: Optional[Written]) -> None:
+        """Bump ``version`` and journal what the mutation wrote.
+
+        The only place ``version`` changes, so no write can reach a
+        mirror unjournalled. ``written`` is None for a wide write
+        (restore, fault injection): the journal is dropped and starts a
+        new epoch, as it does when it is full -- every reader older than
+        the epoch rebuilds from the lists.
+        """
         self.version += 1
+        if written is None or len(self._journal) >= _JOURNAL_CAP:
+            self._journal.clear()
+            self._journal_epoch = self.version
+        else:
+            self._journal.append(written)
+
+    def written_since(self, version: int) -> Optional[List[Written]]:
+        """What every mutation after ``version`` wrote, oldest first.
+
+        None when the journal does not reach back that far: the reader
+        must re-read every slot.
+        """
+        if version < self._journal_epoch:
+            return None
+        return self._journal[version - self._journal_epoch :]
 
     @contextmanager
     def transaction(self, app: Optional[str] = None) -> Iterator[None]:
@@ -241,7 +316,7 @@ class DataCenterState:
         self.free_cpu[host] -= vcpus
         self.free_mem[host] -= mem_gb
         self.host_units[host] += 1
-        self.version += 1
+        self._wrote(((host,), (), ()))
 
     def unplace_vm(self, host: int, vcpus: float, mem_gb: float) -> None:
         """Release a VM reservation made with :meth:`place_vm`.
@@ -257,7 +332,7 @@ class DataCenterState:
                 rec.free_vcpus += vcpus
                 rec.free_mem_gb += mem_gb
                 self.host_units[host] -= 1
-                self.version += 1
+                self._wrote(((host,), (), ()))
                 if self.host_units[host] < 0:
                     raise CapacityError(
                         "unbalanced unplace_vm on down host "
@@ -267,7 +342,7 @@ class DataCenterState:
         self.free_cpu[host] += vcpus
         self.free_mem[host] += mem_gb
         self.host_units[host] -= 1
-        self.version += 1
+        self._wrote(((host,), (), ()))
         if self.host_units[host] < 0:
             raise CapacityError(
                 f"unbalanced unplace_vm on host {self.cloud.hosts[host].name}"
@@ -288,8 +363,9 @@ class DataCenterState:
                 f"{self.cloud.disks[disk].name}: free {self.free_disk[disk]:.2f} GB"
             )
         self.free_disk[disk] -= size_gb
-        self.host_units[self.cloud.disks[disk].host.index] += 1
-        self.version += 1
+        host = self.cloud.disks[disk].host.index
+        self.host_units[host] += 1
+        self._wrote(((host,), (disk,), ()))
 
     def unplace_volume(self, disk: int, size_gb: float) -> None:
         """Release a volume reservation made with :meth:`place_volume`.
@@ -303,7 +379,7 @@ class DataCenterState:
             if rec is not None:
                 rec.free_disk_gb[disk] += size_gb
                 self.host_units[owner] -= 1
-                self.version += 1
+                self._wrote(((owner,), (), ()))
                 if self.host_units[owner] < 0:
                     raise CapacityError(
                         "unbalanced unplace_volume on down host "
@@ -313,7 +389,7 @@ class DataCenterState:
         self.free_disk[disk] += size_gb
         host = self.cloud.disks[disk].host.index
         self.host_units[host] -= 1
-        self.version += 1
+        self._wrote(((host,), (disk,), ()))
         if self.host_units[host] < 0:
             raise CapacityError(
                 f"unbalanced unplace_volume on disk {self.cloud.disks[disk].name}"
@@ -332,7 +408,7 @@ class DataCenterState:
                 )
         for link in links:
             self.free_bw[link] -= mbps
-        self.version += 1
+        self._wrote(((), (), links))
 
     def release_path(self, path: Iterable[int], mbps: float) -> None:
         """Release bandwidth reserved with :meth:`reserve_path`.
@@ -343,18 +419,18 @@ class DataCenterState:
         """
         if mbps <= 0:
             return
+        links = tuple(path)
         if self._down_links:
-            for link in path:
+            for link in links:
                 absorbed = self._down_links.get(link)
                 if absorbed is None:
                     self.free_bw[link] += mbps
                 else:
                     self._down_links[link] = absorbed + mbps
-            self.version += 1
-            return
-        for link in path:
-            self.free_bw[link] += mbps
-        self.version += 1
+        else:
+            for link in links:
+                self.free_bw[link] += mbps
+        self._wrote(((), (), links))
 
     def can_reserve(self, demand_per_link: dict) -> bool:
         """True if all per-link demands fit simultaneously."""
@@ -432,7 +508,7 @@ class DataCenterState:
         if nic_failed:
             self.fail_link(host_obj.link_index)
         self._down_hosts[host] = record
-        self.version += 1
+        self._wrote(None)
 
     def restore_host(self, host: int) -> None:
         """Bring a failed host back, bit-exactly.
@@ -453,7 +529,7 @@ class DataCenterState:
             self.free_disk[disk] = free
         if record.nic_failed:
             self.restore_link(self.cloud.hosts[host].link_index)
-        self.version += 1
+        self._wrote(None)
 
     def fail_link(self, link: int) -> None:
         """Fail a network link: its free bandwidth drops to zero.
@@ -469,7 +545,7 @@ class DataCenterState:
             )
         self._down_links[link] = self.free_bw[link]
         self.free_bw[link] = 0.0
-        self.version += 1
+        self._wrote(None)
 
     def restore_link(self, link: int) -> None:
         """Bring a failed link back with its absorbed free bandwidth."""
@@ -479,7 +555,7 @@ class DataCenterState:
                 f"link {self.cloud.link_names[link]} is not down"
             )
         self.free_bw[link] = absorbed
-        self.version += 1
+        self._wrote(None)
 
     def capacity_invariants(self) -> List[str]:
         """Check conservation invariants; return violations (empty = OK).
@@ -615,5 +691,6 @@ class DataCenterState:
             self.place_vm(host, vcpus, mem_gb)
             if not count_as_unit:
                 self.host_units[host] -= 1
+                self._wrote(((host,), (), ()))
         if nic_mbps:
             self.reserve_path((host_obj.link_index,), nic_mbps)

@@ -62,7 +62,7 @@ class CrossModuleWriteRule(ProjectRule):
                         f"call to '{site.name}' reaches a resource-array "
                         f"write in {target.module} that is not part of "
                         "the owners' public API; route the mutation "
-                        "through datacenter/state.py, "
-                        "datacenter/resources.py, or core/placement.py"
+                        "through datacenter/state.py or "
+                        "datacenter/resources.py"
                     ),
                 )

@@ -36,13 +36,13 @@ PARITY_GROUPS: Tuple[Dict[str, str], ...] = (
         "group": "candidate-targets",
         "numpy": "repro.core.kernel:candidate_targets_numpy",
         "python": "repro.core.scorer:PythonScorer.candidates",
-        "tuple_class": "repro.core.scorer:CandidateTarget",
+        "tuple_class": "repro.core.scorer:CandidateBlock",
     },
     {
         "group": "immediate-costs",
         "numpy": "repro.core.kernel:immediate_costs",
         "python": "repro.core.scorer:PythonScorer.immediate_costs",
-        "tuple_class": "repro.core.scorer:CandidateTarget",
+        "tuple_class": "repro.core.scorer:CandidateBlock",
     },
     {
         "group": "batch-scoring",

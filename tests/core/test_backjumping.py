@@ -81,6 +81,49 @@ class TestBacktrackingPlace:
             backtracking_place(partial, ["a"], rank_nothing, 5, stats)
         assert partial.state.snapshot() == snapshot
 
+    def test_backjump_walks_into_a_lazy_tail(self, small_dc, monkeypatch):
+        """With ``max_full_candidates=1`` the estimate-scored head of 'a'
+        is one host; the jump back to 'a' must take the first target of
+        the proxy-ranked tail -- built only now -- exactly as when the
+        whole ranking was a list."""
+        from repro.core import greedy
+        from repro.core.objective import Objective
+
+        def run(preselect_fn):
+            monkeypatch.setattr(greedy, "preselect", preselect_fn)
+            topo, partial = self._setup(small_dc)
+            stats = SearchStats()
+            greedy.run_greedy_from(
+                partial, ["a", "b", "c"],
+                Objective.for_topology(topo, small_dc),
+                greedy.LowerBoundEstimator(small_dc),
+                GreedyConfig(dedup=False, max_full_candidates=1),
+                stats,
+            )
+            return partial.freeze().assignments, stats
+
+        lazy_preselect = greedy.preselect
+        pulled = []
+
+        def counting(*args):
+            head, tail = lazy_preselect(*args)
+            return head, (pulled.append(t) or t for t in tail)
+
+        def eager(*args):
+            head, tail = lazy_preselect(*args)
+            return head, iter(list(tail))
+
+        lazy_assignments, lazy_stats = run(counting)
+        eager_assignments, eager_stats = run(eager)
+        assert lazy_stats.backtracks >= 1
+        # every idle host costs the same: the head is host 0 (the trap),
+        # the tail starts at host 1
+        assert lazy_assignments["a"].host == 1
+        assert lazy_assignments == eager_assignments
+        assert lazy_stats == eager_stats
+        # one record per retry of a node, not one per feasible host
+        assert 1 <= len(pulled) <= lazy_stats.backtracks
+
 
 class TestNicAwareDeadEndAvoidance:
     """The Table-IV scenario that used to strand tier-1 nodes."""

@@ -25,12 +25,14 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core import kernel, scorer
 from repro.core.astar import BAStar
-from repro.core.greedy import EG, EGBW, EGC, GreedyConfig
+from repro.core.greedy import EG, EGBW, EGC, GreedyConfig, preselect
 from repro.core.objective import Objective
+from repro.core.placement import PartialPlacement
 from repro.core.scheduler import Ostro
 from repro.datacenter.loadgen import apply_random_load
+from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
-from repro.errors import PlacementError
+from repro.errors import PlacementError, ReproError
 from repro.lint.symbols import VOLATILE_EVENT_KEYS
 from tests.conftest import make_three_tier
 from tests.test_properties import small_cloud, topologies
@@ -159,6 +161,113 @@ class TestCrosscheckTrips:
             self._place(monkeypatch, small_dc, point)
 
 
+def _random_partial(topo, seed, picks):
+    """A partial placement of a prefix of ``topo`` on a loaded small
+    cloud: node ``i`` goes to feasible target number ``picks[i]``
+    (modulo how many there are), until the picks or the targets run out."""
+    cloud = small_cloud()
+    state = DataCenterState(cloud)
+    apply_random_load(state, fraction_hosts=0.4, seed=seed)
+    partial = PartialPlacement(
+        topo, state, PathResolver.for_cloud(cloud), own_state=True
+    )
+    reference = scorer.PythonScorer()
+    for name, pick in zip(topo.nodes, picks):
+        found = reference.candidates(partial, name, False, None)
+        if not found:
+            break
+        target = found[pick % len(found)]
+        partial.assign(name, target.host, target.disk)
+    return partial
+
+
+class TestCandidateBlock:
+    """Both scorers fill the same columns; records appear on demand."""
+
+    @SETTINGS
+    @given(
+        topo=topologies(),
+        seed=st.integers(0, 50),
+        picks=st.lists(st.integers(0, 8), max_size=6),
+        dedup=st.booleans(),
+        limit=st.one_of(st.none(), st.integers(1, 6)),
+    )
+    def test_columns_equal_the_specification(
+        self, topo, seed, picks, dedup, limit
+    ):
+        partial = _random_partial(topo, seed, picks)
+        for name in topo.nodes:  # VM and volume nodes alike
+            if partial.is_placed(name):
+                continue
+            fast = scorer.NumpyScorer().candidates(partial, name, dedup, limit)
+            spec = scorer.PythonScorer().candidates(partial, name, dedup, limit)
+            assert (fast.hosts, fast.disks, fast.multiplicities) == (
+                spec.hosts, spec.disks, spec.multiplicities
+            )
+            records = list(fast)
+            assert records == list(spec) == [fast[i] for i in range(len(fast))]
+            assert all(type(t) is scorer.CandidateTarget for t in records)
+            assert all(type(h) is int for h in fast.hosts)
+            assert fast == spec == records and fast[:2] == records[:2]
+            assert scorer.CandidateBlock.of(records) == fast
+
+    @SETTINGS
+    @given(
+        topo=topologies(),
+        seed=st.integers(0, 50),
+        picks=st.lists(st.integers(0, 8), max_size=4),
+        dedup=st.booleans(),
+        cap=st.integers(1, 5),
+        kernel_name=st.sampled_from(["python", "numpy"]),
+    )
+    def test_preselect_head_and_tail_are_the_full_ranking(
+        self, topo, seed, picks, dedup, cap, kernel_name
+    ):
+        """Head + lazy tail == sorting every record by immediate cost,
+        ties in scan order (idle hosts of one rack tie all the time)."""
+        partial = _random_partial(topo, seed, picks)
+        objective = Objective.for_topology(topo, partial.state.cloud)
+        with kernel.use_kernel(kernel_name):
+            active = scorer.active_scorer()
+        for name in topo.nodes:
+            if partial.is_placed(name):
+                continue
+            block = active.candidates(partial, name, dedup, None)
+            costs = active.immediate_costs(partial, objective, name, block)
+            ranked = [
+                target for _, _, target in sorted(
+                    zip(costs, range(len(block)), block)
+                )
+            ]
+            head, tail = preselect(active, partial, objective, name, block, cap)
+            assert isinstance(head, list) and iter(tail) is tail
+            if len(block) <= cap:
+                assert (head, list(tail)) == (list(block), [])
+            else:
+                assert (head, list(tail)) == (ranked[:cap], ranked[cap:])
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_crosscheck_names_the_first_differing_index(self, small_dc, at):
+        class OffByOne(scorer.NumpyScorer):
+            def candidates(self, partial, node_name, dedup, limit):
+                found = super().candidates(partial, node_name, dedup, limit)
+                found.multiplicities[at] += 1
+                found.multiplicities[-1] += 1
+                return found
+
+        topo = make_three_tier()
+        partial = PartialPlacement(
+            topo, DataCenterState(small_dc), PathResolver.for_cloud(small_dc)
+        )
+        checked = scorer.CrosscheckScorer(fast=OffByOne())
+        name = next(iter(topo.nodes))
+        assert len(scorer.PythonScorer().candidates(partial, name, False, None)) > 3
+        with pytest.raises(
+            kernel.KernelMismatch, match=f"candidate set mismatch .* at index {at} "
+        ):
+            checked.candidates(partial, name, False, None)
+
+
 def _trajectory(algorithm, topo, cloud, state, kernel_name):
     """(result, event stream without the volatile keys) of one run."""
     with obs.use(obs.TelemetryRecorder()) as rec:
@@ -202,6 +311,147 @@ class TestStateViewCache:
             for _ in range(5):
                 place_and_remove()
             assert live() == before
+
+
+_MUTATIONS = (
+    "place_vm", "unplace_vm", "place_volume", "unplace_volume",
+    "reserve_path", "release_path", "assign", "unassign_last",
+    "unassign_any", "restore", "rollback", "fail_host", "restore_host",
+    "fail_link", "restore_link", "background",
+)
+
+
+class _MutationDriver:
+    """Applies named mutations to one long-lived state, remembering what
+    it reserved so that every release is a legal one."""
+
+    def __init__(self):
+        self.cloud = small_cloud()
+        self.state = DataCenterState(self.cloud)
+        self.topo = make_three_tier()
+        self.snapshot = self.state.snapshot()
+        self.forget_reservations()
+
+    def forget_reservations(self):
+        self.vms, self.volumes, self.paths = [], [], []
+        self.partial = PartialPlacement(
+            self.topo, self.state, PathResolver.for_cloud(self.cloud),
+            own_state=True,
+        )
+
+    def apply(self, op, arg):
+        state, cloud = self.state, self.cloud
+        host = arg % cloud.num_hosts
+        disk = arg % len(cloud.disks)
+        link = arg % len(cloud.link_capacity_mbps)
+        if op == "place_vm":
+            state.place_vm(host, 1 + arg % 3, 2)
+            self.vms.append((host, 1 + arg % 3, 2))
+        elif op == "unplace_vm" and self.vms:
+            state.unplace_vm(*self.vms.pop(arg % len(self.vms)))
+        elif op == "place_volume":
+            state.place_volume(disk, 10 + arg % 50)
+            self.volumes.append((disk, 10 + arg % 50))
+        elif op == "unplace_volume" and self.volumes:
+            state.unplace_volume(*self.volumes.pop(arg % len(self.volumes)))
+        elif op == "reserve_path":
+            path = cloud.path(host, (arg // 7) % cloud.num_hosts)
+            state.reserve_path(path, 25.0)
+            self.paths.append(path)
+        elif op == "release_path" and self.paths:
+            state.release_path(self.paths.pop(arg % len(self.paths)), 25.0)
+        elif op == "assign":
+            unplaced = [
+                n for n in self.topo.nodes if not self.partial.is_placed(n)
+            ]
+            if unplaced:
+                name = unplaced[arg % len(unplaced)]
+                found = scorer.PythonScorer().candidates(
+                    self.partial, name, False, None
+                )
+                if found:
+                    target = found[arg % len(found)]
+                    self.partial.assign(name, target.host, target.disk)
+        elif op in ("unassign_last", "unassign_any") and self.partial.assignments:
+            placed = list(self.partial.assignments)
+            index = -1 if op == "unassign_last" else arg % len(placed)
+            self.partial.unassign(placed[index])
+        elif op == "restore":
+            if arg % 2:
+                self.snapshot = state.snapshot()
+            else:
+                # back to a state that knows none of the later reservations
+                state.restore(self.snapshot)
+                self.forget_reservations()
+        elif op == "rollback":
+            with pytest.raises(ZeroDivisionError):
+                with state.transaction():
+                    state.place_vm(host, 1, 1)
+                    state.reserve_path(cloud.path(host, 0), 5.0)
+                    raise ZeroDivisionError
+        elif op == "fail_host" and not state.host_is_down(host):
+            state.fail_host(host)
+        elif op == "restore_host" and state.down_hosts():
+            state.restore_host(state.down_hosts()[arg % len(state.down_hosts())])
+        elif op == "fail_link" and link not in state.down_links():
+            state.fail_link(link)
+        elif op == "restore_link" and state.down_links():
+            # not a crashed host's NIC: restore_host owns that one
+            nics = {cloud.hosts[h].link_index for h in state.down_hosts()}
+            free = [k for k in state.down_links() if k not in nics]
+            if free:
+                state.restore_link(free[arg % len(free)])
+        elif op == "background":
+            state.consume_background(
+                host, vcpus=1, mem_gb=1, nic_mbps=arg % 2 * 10.0,
+                count_as_unit=False,
+            )
+
+
+class TestStateViewJournal:
+    """A view patched from the state's write journal must equal one
+    built from scratch, after any mutation, in any order."""
+
+    @settings(
+        max_examples=60, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(ops=st.lists(
+        st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 10_000)),
+        min_size=1, max_size=60,
+    ))
+    def test_patched_view_equals_a_fresh_one(self, ops):
+        driver = _MutationDriver()
+        kernel.StateView.for_state(driver.state)  # the long-lived mirror
+        for op, arg in ops:
+            try:
+                driver.apply(op, arg)
+            except ReproError:
+                pass  # a refused mutation: whatever it left must mirror too
+            view = kernel.StateView.for_state(driver.state)
+            fresh = kernel.StateView()
+            fresh.refresh(driver.state)
+            for column in (
+                "cpu_free", "mem_free", "disk_free", "bw_free", "active"
+            ):
+                mirrored, rebuilt = getattr(view, column), getattr(fresh, column)
+                assert mirrored.dtype == rebuilt.dtype
+                assert mirrored.tolist() == rebuilt.tolist(), (op, column)
+
+    def test_narrow_writes_patch_and_wide_writes_rebuild(self, small_dc):
+        state = DataCenterState(small_dc)
+        view = kernel.StateView.for_state(state)
+        cpu, bw = view.cpu_free, view.bw_free
+        state.place_vm(2, 4, 8)
+        state.reserve_path(small_dc.path(2, 9), 100.0)
+        assert kernel.StateView.for_state(state) is view
+        assert view.cpu_free is cpu and view.bw_free is bw  # patched in place
+        assert cpu.tolist() == state.free_cpu and bw.tolist() == state.free_bw
+        assert view.active.tolist() == [u > 0 for u in state.host_units]
+        state.restore(state.snapshot())
+        kernel.StateView.for_state(state)
+        assert view.cpu_free is not cpu  # journal dropped: re-copied
+        assert view.cpu_free.tolist() == state.free_cpu
 
 
 class TestFixedTopologyEquivalence:

@@ -155,6 +155,16 @@ class TestHopArithmetic:
         assert podded_cloud.min_hops_for_distance(3) == 6
         assert podded_cloud.min_hops_for_distance(4) == 8
 
+    def test_min_hops_memo_keeps_answers_and_errors(self, small_dc):
+        """Every search asks for distances 1..4; the cloud scans its hosts
+        once per distance and must answer the same -- raise included --
+        every time after."""
+        for _ in range(2):
+            assert small_dc.min_hops_for_distance(1) == 2
+            assert small_dc.min_hops_for_distance(3) == 4
+            with pytest.raises(DataCenterError, match="distance 4"):
+                small_dc.min_hops_for_distance(4)  # single data center
+
 
 class TestLevelParsing:
     def test_parse_all_levels(self):

@@ -214,3 +214,92 @@ class TestBackgroundLoad:
     def test_consume_background_without_unit(self, state):
         state.consume_background(0, vcpus=4, mem_gb=4, count_as_unit=False)
         assert not state.host_is_active(0)
+
+
+class TestWriteJournal:
+    """What array mirrors patch themselves from (``written_since``)."""
+
+    def test_reports_each_mutation_since_a_version(self, state):
+        start = state.version
+        state.place_vm(3, 1, 1)
+        state.reserve_path((0, 1), 5)
+        middle = state.version
+        state.place_volume(2, 10)
+        owner = state.cloud.disks[2].host.index
+        assert [
+            tuple(map(tuple, entry)) for entry in state.written_since(start)
+        ] == [((3,), (), ()), ((), (), (0, 1)), ((owner,), (2,), ())]
+        assert len(state.written_since(middle)) == 1
+        assert state.written_since(state.version) == []
+
+    def test_restore_slots_journals_what_it_overwrites(self, state):
+        saved = [
+            ("cpu", 1, state.free_cpu[1]),
+            ("mem", 1, state.free_mem[1]),
+            ("disk", 4, state.free_disk[4]),
+            ("bw", 7, state.free_bw[7]),
+        ]
+        before = state.snapshot()
+        state.place_vm(1, 2, 2)
+        state.unplace_vm(1, 2, 2)
+        version = state.version
+        state.restore_slots(saved)
+        assert state.snapshot() == before
+        assert state.version == version + 1
+        hosts, disks, links = state.written_since(version)[0]
+        assert (set(hosts), set(disks), set(links)) == ({1}, {4}, {7})
+
+    @pytest.mark.parametrize("wide_write", [
+        lambda s: s.restore(s.snapshot()),
+        lambda s: s.fail_host(2),
+        lambda s: s.fail_link(0),
+        lambda s: (s.fail_host(2), s.restore_host(2)),
+        lambda s: (s.fail_link(0), s.restore_link(0)),
+    ])
+    def test_wide_writes_drop_the_journal(self, state, wide_write):
+        state.place_vm(0, 1, 1)
+        stale = state.version
+        wide_write(state)
+        assert state.version > stale
+        assert state.written_since(stale) is None
+        assert state.written_since(state.version) == []
+
+    def test_rolled_back_transaction_drops_the_journal(self, state):
+        stale = state.version
+        with pytest.raises(RuntimeError):
+            with state.transaction():
+                state.place_vm(0, 1, 1)
+                raise RuntimeError("boom")
+        assert state.written_since(stale) is None
+
+    def test_clone_starts_an_empty_journal(self, state):
+        state.place_vm(0, 1, 1)
+        clone = state.clone()
+        assert clone.version == 0
+        assert clone.written_since(0) == []
+        clone.place_vm(1, 1, 1)
+        assert len(clone.written_since(0)) == 1
+        assert len(state.written_since(0)) == 1  # journals are not shared
+
+    def test_stays_bounded_when_nothing_reads_it(self, state):
+        """The python kernel never builds a mirror: the journal must
+        not grow with the life of the state."""
+        from repro.datacenter.state import _JOURNAL_CAP
+
+        reader = state.version
+        for round_ in range(2500):
+            host = round_ % state.cloud.num_hosts
+            nic = state.cloud.hosts[host].link_index
+            for mutate, args in (
+                (state.place_vm, (host, 1, 1)),
+                (state.reserve_path, ((nic,), 10)),
+                (state.release_path, ((nic,), 10)),
+                (state.unplace_vm, (host, 1, 1)),
+            ):
+                mutate(*args)
+                assert len(state._journal) <= _JOURNAL_CAP
+        assert state.version == reader + 10_000
+        # a reader that fell behind an overflow must rebuild, a current
+        # one has nothing to patch
+        assert state.written_since(reader) is None
+        assert state.written_since(state.version) == []

@@ -438,7 +438,7 @@ SCORER_MODULE = """
     from typing import NamedTuple
 
 
-    class CandidateTarget(NamedTuple):
+    class CandidateBlock(NamedTuple):
         host: int
         cpu: float
         disk: float
