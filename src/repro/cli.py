@@ -15,9 +15,10 @@ Subcommands:
 * ``repro sweep {fig7,fig8,fig9,fig10,fig11} [--hom]`` -- rerun a figure's
   size sweep and print the data series.
 * ``repro tradeoff`` -- the Fig. 6 deadline/optimality tradeoff.
-* ``repro bench`` -- time EG/BA*/DBA* on the reference scenarios and emit
-  machine-readable ``BENCH_<scenario>.json`` files (optionally gated
-  against a committed baseline; see benchmarks/perf/).
+* ``repro bench [NAME ...] [--check | --update]`` -- run benches from the
+  :mod:`repro.bench` table (reference placements, parallel sweep,
+  service, defrag, elastic, lint cache), apply each one's gates and
+  compare with / rewrite the committed ``benchmarks/perf/BENCH_<name>.json``.
 * ``repro serve --dc pods:4 --arrivals 200 --serial-check`` -- run a
   Poisson arrival storm through the batched, pod-sharded admission
   pipeline and gate the batched fingerprint against the serial
@@ -438,129 +439,59 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from repro import bench
+    import inspect
+    import os
+    import tempfile
 
-    if args.service:
-        payload = bench.service_benchmark()
-        for path in bench.write_results([payload], args.out_dir):
-            print(f"# wrote {path}", file=sys.stderr)
-        print(
-            f"service storm ({payload['arrivals']} submissions, "
-            f"{payload['pods']} pods, {payload['hosts']} hosts): "
-            f"{payload['placements_per_sec']:.0f} placements/s, "
-            f"p99 {payload['latency_p99_s']:.1f}s (virtual), "
-            f"fingerprints identical: {payload['fingerprints_identical']}, "
-            f"audit violations: {payload['audit_violations']}"
-        )
-        ok = (
-            payload["fingerprints_identical"]
-            and payload["audit_violations"] == 0
-        )
-        return 0 if ok else 1
-    if args.defrag:
-        payload = bench.defrag_benchmark()
-        for path in bench.write_results([payload], args.out_dir):
-            print(f"# wrote {path}", file=sys.stderr)
-        print(
-            f"defrag chaos ({payload['apps']} apps, "
-            f"{payload['hosts']} hosts, {payload['hosts_failed']} "
-            f"crashes): frag recovered {payload['frag_recovered']:.4f} "
-            f"in {payload['defrag_passes']} passes "
-            f"({payload['defrag_moves']} moves, "
-            f"{payload['defrag_move_seconds']:.1f} VM-move-s), "
-            f"availability {payload['availability_defrag']:.2%} vs "
-            f"{payload['availability_baseline']:.2%} baseline, "
-            f"leaks: {payload['leaks']}, disabled-run fingerprint "
-            f"identical: {payload['disabled_fingerprint_identical']}"
-        )
-        ok = (
-            payload["frag_recovered"] > 0
-            and payload["leaks"] == 0
-            and payload["disabled_fingerprint_identical"]
-        )
-        return 0 if ok else 1
-    if args.elastic:
-        payload = bench.elastic_benchmark()
-        for path in bench.write_results([payload], args.out_dir):
-            print(f"# wrote {path}", file=sys.stderr)
-        print(
-            f"elastic storm ({payload['arrivals']} submissions over "
-            f"{payload['trace_span_s'] / 86400.0:.1f} simulated days, "
-            f"{payload['scale_events']} scale events, "
-            f"{payload['hosts']} hosts): "
-            f"{payload['scale_outs']} out / {payload['scale_ins']} in "
-            f"({payload['vms_added']} VMs added, "
-            f"{payload['vms_removed']} removed, "
-            f"{payload['scale_consolidation_moves']} consolidation "
-            f"moves), leaks: {payload['leaks']}, disabled-run "
-            f"fingerprint identical: "
-            f"{payload['disabled_fingerprint_identical']}, same-seed "
-            f"scaled fingerprints identical: "
-            f"{payload['scaled_fingerprints_identical']}"
-        )
-        ok = (
-            payload["leaks"] == 0
-            and payload["disabled_fingerprint_identical"]
-            and payload["scaled_fingerprints_identical"]
-        )
-        return 0 if ok else 1
-    if args.parallel_sweep:
-        workers = args.workers if args.workers > 1 else 4
-        payload = bench.parallel_sweep_benchmark(workers=workers)
-        for path in bench.write_results([payload], args.out_dir):
-            print(f"# wrote {path}", file=sys.stderr)
-        print(
-            f"parallel sweep ({payload['cells']} cells, "
-            f"{payload['cpu_count']} cores): "
-            f"serial {payload['serial_wall_s']:.2f}s, "
-            f"workers={payload['workers']} "
-            f"{payload['parallel_wall_s']:.2f}s, "
-            f"speedup {payload['speedup']:.2f}x, "
-            f"rows identical: {payload['rows_identical']}"
-        )
-        return 0 if payload["rows_identical"] else 1
+    from repro import bench
     from repro.core import kernel as kernel_mod
 
-    with kernel_mod.use_kernel(args.kernel or kernel_mod.get_kernel()):
-        results = bench.run_suite(
-            repeats=args.repeats,
-            scenarios=args.scenarios or None,
-            workers=args.workers,
-            gap=args.gap,
-            gap_time_limit_s=args.gap_time_limit,
+    unknown = [name for name in args.names if name not in bench.BENCHES]
+    if unknown:
+        args.usage_error(
+            f"unknown bench {', '.join(unknown)} "
+            f"(choose from {', '.join(bench.BENCHES)})"
         )
-    for path in bench.write_results(results, args.out_dir):
-        print(f"# wrote {path}", file=sys.stderr)
-    for payload in results:
-        bound = payload.get("lower_bound")
-        for entry in payload["algorithms"]:
-            line = (
-                f"{payload['scenario']:>10}-{payload['size']:<3} "
-                f"{entry['algorithm']:>5}  wall={entry['wall_s']:7.3f}s  "
-                f"expanded={entry['paths_expanded']:6d}  "
-                f"scored={entry['candidates_scored']:7d}  "
-                f"hash={entry['placement_hash']}"
+    selected = [bench.BENCHES[name] for name in args.names or bench.BENCHES]
+    given = {
+        flag: (kwarg, value)
+        for flag, kwarg, value in (
+            ("--repeats", "repeats", args.repeats),
+            ("--gap", "gap", args.gap or None),
+            ("--gap-time-limit", "gap_time_limit_s", args.gap_time_limit),
+        )
+        if value is not None
+    }
+    if "--gap" in given and (args.check or args.update):
+        args.usage_error("--gap payloads are not baselines: drop --check/--update")
+    for entry in selected:
+        accepted = inspect.signature(entry.run).parameters
+        stray = [flag for flag, (kwarg, _) in given.items() if kwarg not in accepted]
+        if stray:
+            args.usage_error(
+                f"{', '.join(stray)} does not apply to bench {entry.name} "
+                f"(only to {', '.join(bench.REFERENCE_CASES)})"
             )
-            if bound is not None:
-                gap = entry.get("optimality_gap")
-                line += (
-                    f"  score={entry['score']:.4f}"
-                    f"  lb={bound['score_lower_bound']:.4f}"
-                    + (f"  gap<={gap:.0%}" if gap is not None else "  gap=n/a")
-                )
-            print(line)
-    if args.baseline:
-        with open(args.baseline, encoding="utf-8") as fh:
-            baseline = json.load(fh)
-        failures = bench.compare_to_baseline(
-            results, baseline, tolerance=args.tolerance
-        )
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print("# baseline check passed", file=sys.stderr)
-    return 0
+    options = dict(given.values())
+    # --check writes nothing under the repository; only --update does.
+    out_dir = args.out_dir or os.path.join(tempfile.gettempdir(), "repro-bench")
+    if args.update:
+        out_dir = bench.BASELINE_DIR
+    failures: List[str] = []
+    with kernel_mod.use_kernel(args.kernel or kernel_mod.get_kernel()):
+        for entry in selected:
+            payload = entry.run(**options)
+            print(entry.summary(payload))
+            found = [f"{entry.name}: {msg}" for msg in entry.gates(payload)]
+            if args.check:
+                found += bench.check(entry, payload, bench.BASELINE_DIR)
+            if not (args.update and found):  # never commit a failing payload
+                path = bench.write_payload(payload, entry.name, out_dir)
+                print(f"# wrote {path}", file=sys.stderr)
+            failures += found
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _git_changed_files() -> Optional[List[str]]:
@@ -913,72 +844,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_cmd = sub.add_parser(
         "bench",
-        help="time the search hot path on the reference scenarios",
+        help="run benches from the repro.bench table and apply their gates",
     )
-    bench_cmd.add_argument("--repeats", type=int, default=3)
     bench_cmd.add_argument(
-        "--scenarios",
+        "names",
         nargs="*",
-        default=None,
-        help="subset of scenarios (multitier, mesh, qfs); default all",
+        metavar="NAME",
+        help="multitier, mesh, qfs, parallel_sweep, service, defrag, "
+        "elastic, lint_cache (default: all eight)",
+    )
+    baseline = bench_cmd.add_mutually_exclusive_group()
+    baseline.add_argument(
+        "--check",
+        action="store_true",
+        help="also compare each payload with the committed "
+        "benchmarks/perf/BENCH_<name>.json: deterministic fields must be "
+        "equal, normalized_cost within 25%%",
+    )
+    baseline.add_argument(
+        "--update",
+        action="store_true",
+        help="rewrite the committed benchmarks/perf/BENCH_<name>.json",
     )
     bench_cmd.add_argument(
         "--out-dir",
-        default=".",
-        help="directory for the BENCH_<scenario>.json files",
-    )
-    bench_cmd.add_argument(
-        "--baseline",
         default=None,
-        metavar="FILE",
-        help="compare against a committed baseline JSON and fail on "
-        "regression (see benchmarks/perf/)",
-    )
-    bench_cmd.add_argument("--tolerance", type=float, default=0.25)
-    bench_cmd.add_argument(
-        "--parallel-sweep",
-        action="store_true",
-        help="run the serial-vs-parallel sweep acceptance benchmark "
-        "instead of the reference suite (records speedup + row "
-        "equality in BENCH_parallel_sweep.json)",
-    )
-    bench_cmd.add_argument(
-        "--service",
-        action="store_true",
-        help="run the admission-service throughput benchmark instead of "
-        "the reference suite (records placements/sec, p99 latency, and "
-        "the serial-equivalence gate in BENCH_service.json)",
-    )
-    bench_cmd.add_argument(
-        "--defrag",
-        action="store_true",
-        help="run the continuous-defragmentation acceptance benchmark "
-        "instead of the reference suite (canned fragmented chaos "
-        "scenario; records frag recovered, availability impact, and "
-        "the defrag-off fingerprint gate in BENCH_defrag.json)",
-    )
-    bench_cmd.add_argument(
-        "--elastic",
-        action="store_true",
-        help="run the long-horizon autoscaling benchmark instead of the "
-        "reference suite (a simulated day of arrivals with scale "
-        "events; records action counts, the scaling-off fingerprint "
-        "gate, and same-seed reproducibility in BENCH_elastic.json)",
-    )
-    bench_cmd.add_argument(
-        "--gap",
-        action="store_true",
-        help="also compute the MILP optimality-gap oracle per scenario "
-        "and report each algorithm's gap against the certified lower "
-        "bound (a relaxation: the gap over-states true suboptimality)",
-    )
-    bench_cmd.add_argument(
-        "--gap-time-limit",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="HiGHS budget for the gap oracle; on timeout the solver's "
-        "dual bound is used (default 60)",
+        help="directory for the BENCH_<name>.json payloads "
+        "(default: <tmp>/repro-bench)",
     )
     bench_cmd.add_argument(
         "--kernel",
@@ -987,8 +879,28 @@ def build_parser() -> argparse.ArgumentParser:
         help="scoring kernel for the run (default: the process-wide "
         "kernel, numpy when available)",
     )
-    _add_workers_flag(bench_cmd)
-    bench_cmd.set_defaults(func=cmd_bench)
+    bench_cmd.add_argument(
+        "--repeats",
+        type=int,
+        default=None,
+        help="best-of-N timing repeats (reference cases only; default 3)",
+    )
+    bench_cmd.add_argument(
+        "--gap",
+        action="store_true",
+        help="also compute the MILP optimality-gap oracle and report each "
+        "algorithm's gap against the certified lower bound (reference "
+        "cases only; a relaxation: the gap over-states true suboptimality)",
+    )
+    bench_cmd.add_argument(
+        "--gap-time-limit",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="HiGHS budget for the gap oracle; on timeout the solver's "
+        "dual bound is used (default 60)",
+    )
+    bench_cmd.set_defaults(func=cmd_bench, usage_error=bench_cmd.error)
 
     serve = sub.add_parser(
         "serve",

@@ -490,13 +490,13 @@ class TestReferenceScenarioFingerprints:
     def test_bench_scenario_bit_identical(self, scenario):
         from repro import bench
 
-        case = next(c for c in bench.REFERENCE_CASES if c.name == scenario)
+        case = bench.REFERENCE_CASES[scenario]
         label, algorithm, opt_items, _gated = case.algorithms[0]  # EG
         assert label == "eg"
         fingerprints = {}
         for name in ("python", "numpy"):
             with kernel.use_kernel(name):
-                result, _wall = bench._run_once(
+                result, _wall = bench.place_reference(
                     case, algorithm, dict(opt_items)
                 )
             fingerprints[name] = bench.placement_fingerprint(result)

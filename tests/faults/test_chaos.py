@@ -155,13 +155,14 @@ class TestTrailingEvents:
 
 class TestChaosDefrag:
     def test_defrag_recovers_fragmentation_leak_free(self):
-        from repro.bench import defrag_case_config, defrag_chaos_case
+        from repro.bench import BENCHES
 
-        report = run_chaos(defrag=defrag_case_config(), **defrag_chaos_case())
-        assert report.defrag_enabled
-        assert report.defrag_passes >= 1
-        assert report.frag_recovered > 0
-        assert report.invariant_violations == []
+        payload = BENCHES["defrag"].run()
+        assert payload["defrag_enabled"]
+        assert payload["defrag_passes"] >= 1
+        assert payload["frag_recovered"] > 0
+        assert payload["invariant_violations"] == 0
+        assert BENCHES["defrag"].gates(payload) == []
 
     def test_disabled_defrag_is_bit_identical_to_none(self, tiny_cloud):
         def one_run(defrag):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -268,3 +270,147 @@ class TestTradeoff:
         out = capsys.readouterr().out
         assert "Fig 6" in out
         assert out.count("\n") >= 4
+
+
+class TestBench:
+    """`repro bench [NAME ...] [--check | --update]` over the bench table."""
+
+    @pytest.fixture
+    def fake_table(self, monkeypatch, tmp_path):
+        """A two-row table whose runs record the kernel they ran under."""
+        from repro import bench
+        from repro.core import kernel
+
+        seen = []
+
+        def run(seed=0):
+            seen.append(kernel.get_kernel())
+            return {"scenario": "fake", "ok": True, "wall_s": 0.1}
+
+        def run_repeated(seed=0, repeats=3):
+            return {**run(seed), "repeats": repeats}
+
+        def gates(payload):
+            return [] if payload["ok"] else ["ok is false"]
+
+        table = {
+            name: bench.Bench(name, fn, gates, lambda p: "fake row", ("wall_s",))
+            for name, fn in (("plain", run), ("timed", run_repeated))
+        }
+        monkeypatch.setattr(bench, "BENCHES", table)
+        monkeypatch.setattr(bench, "BASELINE_DIR", str(tmp_path / "committed"))
+        return seen
+
+    def usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *argv])
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--service", "--defrag", "--elastic", "--parallel-sweep", "--workers"],
+    )
+    def test_mode_flags_are_gone(self, flag, capsys):
+        assert "unrecognized arguments" in self.usage_error([flag], capsys)
+
+    def test_unknown_name_lists_the_valid_ones(self, capsys):
+        err = self.usage_error(["defrag", "nosuch"], capsys)
+        assert "unknown bench nosuch" in err
+        for name in ("multitier", "mesh", "qfs", "parallel_sweep", "service",
+                     "defrag", "elastic", "lint_cache"):
+            assert name in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["elastic", "--repeats", "9"],
+            ["service", "--gap"],
+            ["qfs", "defrag", "--gap-time-limit", "5"],
+            ["--repeats", "1"],  # no names = all eight
+        ],
+    )
+    def test_flag_that_does_not_apply_is_an_error_not_ignored(
+        self, argv, capsys
+    ):
+        assert "does not apply to bench" in self.usage_error(argv, capsys)
+
+    def test_check_and_update_exclude_each_other(self, capsys):
+        err = self.usage_error(["defrag", "--check", "--update"], capsys)
+        assert "not allowed with" in err
+
+    def test_gap_payloads_cannot_become_or_face_a_baseline(self, capsys):
+        for mode in ("--check", "--update"):
+            err = self.usage_error(["mesh", "--gap", mode], capsys)
+            assert "--gap payloads are not baselines" in err
+
+    def test_kernel_wraps_every_entry(self, fake_table, tmp_path, capsys):
+        rc = main(
+            ["bench", "--kernel", "python", "--out-dir", str(tmp_path / "out")]
+        )
+        assert rc == 0
+        assert fake_table == ["python", "python"]
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "BENCH_plain.json",
+            "BENCH_timed.json",
+        ]
+
+    def test_applicable_flag_reaches_the_run(self, fake_table, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["bench", "timed", "--repeats", "7", "--out-dir", str(out)])
+        assert rc == 0
+        assert json.loads((out / "BENCH_timed.json").read_text())["repeats"] == 7
+
+    def test_update_writes_the_baseline_and_check_reads_it(
+        self, fake_table, tmp_path, capsys
+    ):
+        committed = tmp_path / "committed" / "BENCH_plain.json"
+        assert main(["bench", "plain", "--check"]) == 1
+        assert "plain: missing" in capsys.readouterr().err
+        assert main(["bench", "plain", "--update"]) == 0
+        assert committed.exists()
+        assert main(["bench", "plain", "--check"]) == 0
+        doctored = json.loads(committed.read_text())
+        doctored["ok"] = "edited"
+        doctored["wall_s"] = 99.0  # volatile: free to differ
+        committed.write_text(json.dumps(doctored))
+        assert main(["bench", "plain", "--check"]) == 1
+        err = capsys.readouterr().err
+        assert "FAIL: plain/ok: committed 'edited', this run True" in err
+        assert "wall_s" not in err
+
+    def test_update_refuses_a_payload_that_fails_its_gates(
+        self, fake_table, tmp_path, monkeypatch, capsys
+    ):
+        from repro import bench
+
+        broken = dataclasses.replace(
+            bench.BENCHES["plain"], run=lambda: {"scenario": "fake", "ok": False}
+        )
+        monkeypatch.setitem(bench.BENCHES, "plain", broken)
+        assert main(["bench", "plain", "--update"]) == 1
+        assert "FAIL: plain: ok is false" in capsys.readouterr().err
+        assert not (tmp_path / "committed").exists()
+
+    def test_check_leaves_the_committed_baselines_untouched(
+        self, tmp_path, capsys
+    ):
+        """The real table end to end: defrag is deterministic in every
+        non-volatile field, so --check must pass against the committed
+        file -- and write only under --out-dir."""
+        import hashlib
+
+        from repro import bench
+
+        def digest():
+            return {
+                p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in Path(bench.BASELINE_DIR).iterdir()
+            }
+
+        before = digest()
+        out = tmp_path / "out"
+        rc = main(["bench", "defrag", "--check", "--out-dir", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        assert digest() == before
+        assert [p.name for p in out.iterdir()] == ["BENCH_defrag.json"]
