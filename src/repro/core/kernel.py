@@ -10,7 +10,7 @@ The search algorithms spend almost all of their time in three loops:
   remaining nodes, and undoing the assignment.
 
 This module re-expresses all three as array kernels: per-cloud static
-matrices (:class:`CloudArrays`), a version-gated mirror of the mutable
+matrices (:class:`CloudArrays`), a zero-copy view of the mutable
 availability state (:class:`StateView`), and a batch scorer that
 evaluates a node's whole candidate set in one shot -- the estimator runs
 once over ``(candidates x targets)`` matrices instead of once per
@@ -340,21 +340,18 @@ class CloudArrays:
 
 
 # ----------------------------------------------------------------------
-# per-state mirror
+# per-state view
 # ----------------------------------------------------------------------
 
 
 class StateView:
-    """NumPy mirror of one :class:`DataCenterState`'s free-resource lists.
+    """Zero-copy NumPy view of one :class:`DataCenterState`'s five buffers.
 
-    Refreshed lazily: the state's ``version`` counter (bumped by every
-    mutator, including fault injection and the bit-exact undo path) gates
-    refreshing, so bursts of candidate generations against an unchanged
-    state reuse the same arrays. A stale view re-reads only the slots the
-    state journalled since the view's version
-    (:meth:`DataCenterState.written_since`); when the journal does not
-    reach back that far -- a new view, a ``restore``, a fault, an
-    overflow -- it re-copies all five lists.
+    ``np.frombuffer`` over the state's ``array`` columns: the state *is*
+    the arrays, so every write the state makes (all in place, see
+    :mod:`repro.datacenter.state`) is already here and there is nothing
+    to refresh. Built once per state, read-only on this side -- the
+    state stays the one writer. A host is active where ``units > 0``.
     """
 
     _CACHE: "WeakKeyDictionary[DataCenterState, StateView]" = (
@@ -365,43 +362,20 @@ class StateView:
     def for_state(cls, state: DataCenterState) -> "StateView":
         view = cls._CACHE.get(state)
         if view is None:
-            view = cls._CACHE[state] = cls()
-        view.refresh(state)
+            view = cls._CACHE[state] = cls(state)
         return view
 
-    def __init__(self) -> None:
-        # No reference back to the state: the cache is keyed weakly by
-        # it, and a strong one here would keep every entry alive forever.
-        self.version = -1
-        self.cpu_free: Any = None
-        self.mem_free: Any = None
-        self.disk_free: Any = None
-        self.bw_free: Any = None
-        self.active: Any = None
-
-    def refresh(self, state: DataCenterState) -> None:
-        if self.version == state.version:
-            return
-        written = state.written_since(self.version)
-        if written is None:
-            self.cpu_free = np.array(state.free_cpu, dtype=np.float64)
-            self.mem_free = np.array(state.free_mem, dtype=np.float64)
-            self.disk_free = np.array(state.free_disk, dtype=np.float64)
-            self.bw_free = np.array(state.free_bw, dtype=np.float64)
-            self.active = np.array(state.host_units, dtype=np.int64) > 0
-        else:
-            # current values, not replayed deltas: patching a slot twice,
-            # or in any order, lands on what the lists hold now
-            for hosts, disks, links in written:
-                for host in hosts:
-                    self.cpu_free[host] = state.free_cpu[host]
-                    self.mem_free[host] = state.free_mem[host]
-                    self.active[host] = state.host_units[host] > 0
-                for disk in disks:
-                    self.disk_free[disk] = state.free_disk[disk]
-                for link in links:
-                    self.bw_free[link] = state.free_bw[link]
-        self.version = state.version
+    def __init__(self, state: DataCenterState) -> None:
+        # The columns reference the state's buffers, never the state: the
+        # cache is keyed weakly by it, and a strong reference here would
+        # keep every entry alive forever.
+        self.cpu_free = np.frombuffer(state.free_cpu, dtype=np.float64)
+        self.mem_free = np.frombuffer(state.free_mem, dtype=np.float64)
+        self.disk_free = np.frombuffer(state.free_disk, dtype=np.float64)
+        self.bw_free = np.frombuffer(state.free_bw, dtype=np.float64)
+        self.units = np.frombuffer(state.host_units, dtype=np.int64)
+        for column in vars(self).values():
+            column.setflags(write=False)
 
 
 # ----------------------------------------------------------------------
@@ -558,7 +532,7 @@ def candidate_targets_numpy(
     else:
         assert disks is not None
         signature[:, 0] = _quantize_array(view.disk_free[disks])
-    signature[:, base] = view.active[hosts]
+    signature[:, base] = view.units[hosts] > 0
     chain = arrays.chain_matrix[hosts]
     signature[:, base + 1 : base + 1 + max_chain] = np.where(
         chain >= 0,
@@ -622,7 +596,7 @@ def immediate_costs(
         assigned = partial.assignments.get(neighbor)
         if assigned is not None and bw > 0:
             delta_bw = delta_bw + bw * arrays.hops_row(assigned.host)[hosts]
-    activation = (~view.active[hosts]).astype(np.int64)
+    activation = (view.units[hosts] <= 0).astype(np.int64)
     scores = _score_array(
         objective, partial.ubw + delta_bw, partial.uc + activation
     )
@@ -681,7 +655,7 @@ def batch_score(
     for nbr_host, bw in flows:
         added_ubw = added_ubw + bw * arrays.hops_row(nbr_host)[cand_host_arr]
     ubw_after = partial.ubw + added_ubw
-    uc_after = partial.uc + (~view.active[cand_host_arr]).astype(np.int64)
+    uc_after = partial.uc + (view.units[cand_host_arr] <= 0).astype(np.int64)
 
     if not rest:
         scores = _score_array(objective, ubw_after + 0.0, uc_after + 0)

@@ -208,7 +208,7 @@ def conservation_violations(ostro: "Ostro") -> List[str]:
                 f"expected {expected_mem:.6f} (leak of "
                 f"{actual_mem - expected_mem:+.6f} GB)"
             )
-        expected_units = int(units0[i]) + placed_units[i]
+        expected_units = units0[i] + placed_units[i]
         if state.host_units[i] != expected_units:
             violations.append(
                 f"conservation: host {host.name} unit count "

@@ -1,7 +1,8 @@
 """Mutable availability state of a data center.
 
-A :class:`DataCenterState` tracks, in flat parallel lists indexed by the
-global indices assigned in :class:`repro.datacenter.model.Cloud`:
+A :class:`DataCenterState` tracks, in five typed buffers (``array('d')``,
+``array('q')`` for the unit counts) indexed by the global indices assigned
+in :class:`repro.datacenter.model.Cloud`:
 
 * free vCPUs and memory per host,
 * free capacity per disk,
@@ -10,21 +11,22 @@ global indices assigned in :class:`repro.datacenter.model.Cloud`:
   whether a host is *active* (the paper's ``u_c`` counts newly activated
   hosts).
 
-The search algorithms clone states when branching (``clone`` is a handful of
-``list.copy`` calls) and use reserve/release pairs when walking a single
+The search algorithms clone states when branching (``clone`` is five
+buffer copies) and use reserve/release pairs when walking a single
 search path. All mutating operations validate capacity and raise
 :class:`repro.errors.CapacityError` on violation, leaving the state
 unchanged.
 
-Every mutator ends in :meth:`DataCenterState._wrote`, the one place
-``version`` changes, which also journals the slots the mutator wrote. An
-array mirror (:class:`repro.core.kernel.StateView`) asks
-:meth:`DataCenterState.written_since` and patches those slots instead of
-re-copying every list.
+The buffers are the one store: :class:`repro.core.kernel.StateView` is a
+zero-copy NumPy view of them, so a write here is visible there with no
+bookkeeping. The price is that every write is in place (``a[i] = v``,
+``a[:] = same_length_array``): rebinding a column would detach the view,
+and an exported buffer cannot change length.
 """
 
 from __future__ import annotations
 
+from array import array
 from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
@@ -45,13 +47,12 @@ if TYPE_CHECKING:  # pragma: no cover - layering: core imports datacenter
 from repro.datacenter.resources import EPSILON
 from repro.errors import CapacityError, DataCenterError, ReproError
 
-#: one journal entry: the (hosts, disks, links) one mutator call wrote
-Written = Tuple[Sequence[int], Sequence[int], Sequence[int]]
+#: copies of the five buffers, in :data:`_COLUMNS` order
+Snapshot = Tuple[
+    "array[float]", "array[float]", "array[float]", "array[float]", "array[int]"
+]
 
-#: journal entries kept before the journal is dropped. A mirror refreshes
-#: every few mutations (one candidate scan per placed node), so a longer
-#: journal would only be replayed by a reader that is cheaper rebuilt.
-_JOURNAL_CAP = 64
+_COLUMNS = ("free_cpu", "free_mem", "free_disk", "free_bw", "host_units")
 
 
 class _DownHost:
@@ -97,19 +98,11 @@ class DataCenterState:
         self, cloud: Cloud, best_effort_cpu_factor: float = 0.5
     ) -> None:
         self.cloud = cloud
-        self.free_cpu: List[float] = [h.cpu_cores for h in cloud.hosts]
-        self.free_mem: List[float] = [h.mem_gb for h in cloud.hosts]
-        self.free_disk: List[float] = [d.capacity_gb for d in cloud.disks]
-        self.free_bw: List[float] = list(cloud.link_capacity_mbps)
-        self.host_units: List[int] = [0] * len(cloud.hosts)
-        #: monotonically bumped on every mutation; lets array mirrors
-        #: (repro.core.kernel.StateView) refresh only when stale
-        self.version: int = 0
-        # _journal[i] is what the mutation to version _journal_epoch + i + 1
-        # wrote; the epoch is the version at which the journal last started
-        # empty (see _wrote).
-        self._journal: List[Written] = []
-        self._journal_epoch: int = 0
+        self.free_cpu = array("d", [h.cpu_cores for h in cloud.hosts])
+        self.free_mem = array("d", [h.mem_gb for h in cloud.hosts])
+        self.free_disk = array("d", [d.capacity_gb for d in cloud.disks])
+        self.free_bw = array("d", cloud.link_capacity_mbps)
+        self.host_units = array("q", [0] * len(cloud.hosts))
         #: fraction of its nominal vCPUs a best-effort VM reserves
         #: (Section VI's guaranteed-vs-best-effort CPU reservations)
         self.best_effort_cpu_factor = best_effort_cpu_factor
@@ -127,14 +120,11 @@ class DataCenterState:
         """Return an independent copy sharing only the immutable cloud."""
         copy = DataCenterState.__new__(DataCenterState)
         copy.cloud = self.cloud
-        copy.free_cpu = self.free_cpu.copy()
-        copy.free_mem = self.free_mem.copy()
-        copy.free_disk = self.free_disk.copy()
-        copy.free_bw = self.free_bw.copy()
-        copy.host_units = self.host_units.copy()
-        copy.version = 0
-        copy._journal = []
-        copy._journal_epoch = 0
+        copy.free_cpu = self.free_cpu[:]
+        copy.free_mem = self.free_mem[:]
+        copy.free_disk = self.free_disk[:]
+        copy.free_bw = self.free_bw[:]
+        copy.host_units = self.host_units[:]
         copy.best_effort_cpu_factor = self.best_effort_cpu_factor
         if self._down_hosts:
             copy._down_hosts = {
@@ -149,22 +139,22 @@ class DataCenterState:
         """vCPUs a VM node reserves under its CPU policy."""
         return node.effective_vcpus(self.best_effort_cpu_factor)
 
-    def snapshot(self) -> Tuple[Tuple[float, ...], ...]:
-        """The five free arrays as immutable tuples.
+    def snapshot(self) -> Snapshot:
+        """Copies of the five buffers (treat them as immutable).
 
         What :meth:`transaction` saves and :meth:`restore` loads; also a
         bit-exact state fingerprint (the conservation baseline, the
         shards' masked views, equality checks in tests).
         """
         return (
-            tuple(self.free_cpu),
-            tuple(self.free_mem),
-            tuple(self.free_disk),
-            tuple(self.free_bw),
-            tuple(float(u) for u in self.host_units),
+            self.free_cpu[:],
+            self.free_mem[:],
+            self.free_disk[:],
+            self.free_bw[:],
+            self.host_units[:],
         )
 
-    def restore(self, snapshot: Tuple[Tuple[float, ...], ...]) -> None:
+    def restore(self, snapshot: Snapshot) -> None:
         """Load the free arrays from a :meth:`snapshot`, bit-exactly.
 
         Slot assignment, not arithmetic: undoing ``x - a`` with ``+ a``
@@ -173,14 +163,19 @@ class DataCenterState:
         direct calls to the state, the coordinator's batch rollback and
         the shards' masked-view load. The snapshot does *not* capture
         down-element bookkeeping (:meth:`transaction` saves it as well).
+        A snapshot of another shape (taken on a different cloud) raises
+        :class:`DataCenterError` before any slot is written.
         """
-        cpu, mem, disk, bw, units = snapshot
-        self.free_cpu[:] = cpu
-        self.free_mem[:] = mem
-        self.free_disk[:] = disk
-        self.free_bw[:] = bw
-        self.host_units[:] = [int(u) for u in units]
-        self._wrote(None)
+        columns = [getattr(self, name) for name in _COLUMNS]
+        for name, column, saved in zip(_COLUMNS, columns, snapshot):
+            if len(saved) != len(column):
+                raise DataCenterError(
+                    f"snapshot column {name} has {len(saved)} entries, "
+                    f"the state has {len(column)}"
+                )
+        for column, saved in zip(columns, snapshot):
+            if column:  # an exported buffer refuses even a no-op empty write
+                column[:] = saved
 
     def restore_slots(self, saved: Iterable[Tuple[str, int, float]]) -> None:
         """Overwrite single free-array slots with values read earlier.
@@ -190,51 +185,17 @@ class DataCenterState:
         :class:`repro.core.placement.PartialPlacement`, for the same
         reason :meth:`restore` assigns instead of adding back.
         """
-        hosts: List[int] = []
-        disks: List[int] = []
-        links: List[int] = []
         for kind, index, value in saved:
             if kind == "bw":
                 self.free_bw[index] = value
-                links.append(index)
             elif kind == "cpu":
                 self.free_cpu[index] = value
-                hosts.append(index)
             elif kind == "mem":
                 self.free_mem[index] = value
-                hosts.append(index)
             elif kind == "disk":
                 self.free_disk[index] = value
-                disks.append(index)
             else:
                 raise ValueError(f"unknown resource kind {kind!r}")
-        self._wrote((hosts, disks, links))
-
-    def _wrote(self, written: Optional[Written]) -> None:
-        """Bump ``version`` and journal what the mutation wrote.
-
-        The only place ``version`` changes, so no write can reach a
-        mirror unjournalled. ``written`` is None for a wide write
-        (restore, fault injection): the journal is dropped and starts a
-        new epoch, as it does when it is full -- every reader older than
-        the epoch rebuilds from the lists.
-        """
-        self.version += 1
-        if written is None or len(self._journal) >= _JOURNAL_CAP:
-            self._journal.clear()
-            self._journal_epoch = self.version
-        else:
-            self._journal.append(written)
-
-    def written_since(self, version: int) -> Optional[List[Written]]:
-        """What every mutation after ``version`` wrote, oldest first.
-
-        None when the journal does not reach back that far: the reader
-        must re-read every slot.
-        """
-        if version < self._journal_epoch:
-            return None
-        return self._journal[version - self._journal_epoch :]
 
     @contextmanager
     def transaction(self, app: Optional[str] = None) -> Iterator[None]:
@@ -316,7 +277,6 @@ class DataCenterState:
         self.free_cpu[host] -= vcpus
         self.free_mem[host] -= mem_gb
         self.host_units[host] += 1
-        self._wrote(((host,), (), ()))
 
     def unplace_vm(self, host: int, vcpus: float, mem_gb: float) -> None:
         """Release a VM reservation made with :meth:`place_vm`.
@@ -332,7 +292,6 @@ class DataCenterState:
                 rec.free_vcpus += vcpus
                 rec.free_mem_gb += mem_gb
                 self.host_units[host] -= 1
-                self._wrote(((host,), (), ()))
                 if self.host_units[host] < 0:
                     raise CapacityError(
                         "unbalanced unplace_vm on down host "
@@ -342,7 +301,6 @@ class DataCenterState:
         self.free_cpu[host] += vcpus
         self.free_mem[host] += mem_gb
         self.host_units[host] -= 1
-        self._wrote(((host,), (), ()))
         if self.host_units[host] < 0:
             raise CapacityError(
                 f"unbalanced unplace_vm on host {self.cloud.hosts[host].name}"
@@ -365,7 +323,6 @@ class DataCenterState:
         self.free_disk[disk] -= size_gb
         host = self.cloud.disks[disk].host.index
         self.host_units[host] += 1
-        self._wrote(((host,), (disk,), ()))
 
     def unplace_volume(self, disk: int, size_gb: float) -> None:
         """Release a volume reservation made with :meth:`place_volume`.
@@ -379,7 +336,6 @@ class DataCenterState:
             if rec is not None:
                 rec.free_disk_gb[disk] += size_gb
                 self.host_units[owner] -= 1
-                self._wrote(((owner,), (), ()))
                 if self.host_units[owner] < 0:
                     raise CapacityError(
                         "unbalanced unplace_volume on down host "
@@ -389,7 +345,6 @@ class DataCenterState:
         self.free_disk[disk] += size_gb
         host = self.cloud.disks[disk].host.index
         self.host_units[host] -= 1
-        self._wrote(((host,), (disk,), ()))
         if self.host_units[host] < 0:
             raise CapacityError(
                 f"unbalanced unplace_volume on disk {self.cloud.disks[disk].name}"
@@ -408,7 +363,6 @@ class DataCenterState:
                 )
         for link in links:
             self.free_bw[link] -= mbps
-        self._wrote(((), (), links))
 
     def release_path(self, path: Iterable[int], mbps: float) -> None:
         """Release bandwidth reserved with :meth:`reserve_path`.
@@ -419,18 +373,16 @@ class DataCenterState:
         """
         if mbps <= 0:
             return
-        links = tuple(path)
         if self._down_links:
-            for link in links:
+            for link in path:
                 absorbed = self._down_links.get(link)
                 if absorbed is None:
                     self.free_bw[link] += mbps
                 else:
                     self._down_links[link] = absorbed + mbps
         else:
-            for link in links:
+            for link in path:
                 self.free_bw[link] += mbps
-        self._wrote(((), (), links))
 
     def can_reserve(self, demand_per_link: dict) -> bool:
         """True if all per-link demands fit simultaneously."""
@@ -508,7 +460,6 @@ class DataCenterState:
         if nic_failed:
             self.fail_link(host_obj.link_index)
         self._down_hosts[host] = record
-        self._wrote(None)
 
     def restore_host(self, host: int) -> None:
         """Bring a failed host back, bit-exactly.
@@ -529,7 +480,6 @@ class DataCenterState:
             self.free_disk[disk] = free
         if record.nic_failed:
             self.restore_link(self.cloud.hosts[host].link_index)
-        self._wrote(None)
 
     def fail_link(self, link: int) -> None:
         """Fail a network link: its free bandwidth drops to zero.
@@ -545,7 +495,6 @@ class DataCenterState:
             )
         self._down_links[link] = self.free_bw[link]
         self.free_bw[link] = 0.0
-        self._wrote(None)
 
     def restore_link(self, link: int) -> None:
         """Bring a failed link back with its absorbed free bandwidth."""
@@ -555,7 +504,6 @@ class DataCenterState:
                 f"link {self.cloud.link_names[link]} is not down"
             )
         self.free_bw[link] = absorbed
-        self._wrote(None)
 
     def capacity_invariants(self) -> List[str]:
         """Check conservation invariants; return violations (empty = OK).
@@ -691,6 +639,5 @@ class DataCenterState:
             self.place_vm(host, vcpus, mem_gb)
             if not count_as_unit:
                 self.host_units[host] -= 1
-                self._wrote(((host,), (), ()))
         if nic_mbps:
             self.reserve_path((host_obj.link_index,), nic_mbps)

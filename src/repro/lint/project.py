@@ -365,7 +365,7 @@ class ProjectContext:
     # -- OST011: resource-writer propagation ----------------------------
 
     def is_sanctioned_writer(self, ref: str) -> bool:
-        """Public functions of the resource-owner modules: the correct
+        """Public functions of the resource-owner module: the correct
         API for mutating the resource arrays, so calls to them are fine
         from anywhere and propagation stops there."""
         fn = self.functions[ref]

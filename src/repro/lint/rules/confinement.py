@@ -11,11 +11,12 @@ for every subsequent candidate.
 
 Similarly, the paper's reserved-bandwidth accounting (u_bw) is only
 trustworthy if the host free-resource arrays are written from exactly
-one place. OST005 pins those writes to the resource owner
-(``datacenter/state.py``, ``datacenter/resources.py``); the placement
-applier (``core/placement.py``) goes through the owner's methods like
-everyone else. With one writer, the owner's write journal (what array
-mirrors patch themselves from) is complete by construction.
+one place. OST005 pins those writes to the store itself
+(``datacenter/state.py``); the placement applier (``core/placement.py``)
+goes through its methods like everyone else. The one writer owns the
+buffers the array views (``kernel.StateView``) alias: it writes them in
+place, while rebinding a column (assigning a new object to
+``state.free_cpu``) from anywhere else would silently detach every view.
 """
 
 from __future__ import annotations
@@ -69,13 +70,8 @@ RESOURCE_FIELDS = frozenset(
     {"free_cpu", "free_mem", "free_disk", "free_bw", "host_units"}
 )
 
-#: The only modules allowed to write the resource arrays.
-RESOURCE_WRITER_MODULES = frozenset(
-    {
-        "repro.datacenter.state",
-        "repro.datacenter.resources",
-    }
-)
+#: The only module allowed to write (or rebind) the resource arrays.
+RESOURCE_WRITER_MODULES = frozenset({"repro.datacenter.state"})
 
 
 def _tracked_params(func: ast.AST) -> Set[str]:
@@ -172,14 +168,14 @@ class ParameterMutationRule(Rule):
 
 @register
 class ResourceWriteRule(Rule):
-    """OST005: host free-resource arrays only written by their owners."""
+    """OST005: host free-resource arrays only written by their owner."""
 
     code = "OST005"
     name = "resource-write"
     summary = (
         "host resource fields (free_cpu/free_mem/free_disk/free_bw/"
-        "host_units) may only be written from state.py, resources.py, "
-        "and placement.py"
+        "host_units) may only be written or rebound from "
+        "datacenter/state.py"
     )
 
     def check(self, ctx: "FileContext") -> Iterator[Diagnostic]:
@@ -212,7 +208,7 @@ class ResourceWriteRule(Rule):
             ctx,
             node.lineno,
             node.col_offset + 1,
-            f"write to host resource field '{field}' outside the resource "
-            "owners (datacenter/state.py, datacenter/resources.py) breaks "
-            "reserved-bandwidth accounting",
+            f"write to host resource field '{field}' outside its owner "
+            "(datacenter/state.py) breaks reserved-bandwidth accounting; "
+            "rebinding it detaches the array views",
         )

@@ -1,12 +1,12 @@
 """Cross-module confinement rule: OST011.
 
 OST005 pins *direct* writes of the host free-resource arrays to the
-resource-owner modules. That is trivially laundered: a helper in the
+resource-owner module. That is trivially laundered: a helper in the
 owner's module (or anywhere) performs the write, and a foreign module
 calls the helper. OST011 lifts the single-writer rule to the call
 graph: :meth:`repro.lint.project.ProjectContext.writers` computes the
 least fixpoint of "writes the arrays directly or calls an unsanctioned
-writer", where *sanctioned* means a public function of a resource-owner
+writer", where *sanctioned* means a public function of the resource-owner
 module -- the supported mutation API. A cross-module call whose every
 candidate resolves to an unsanctioned writer is the finding; direct
 writes stay OST005's report so the two rules never double-fire.
@@ -31,7 +31,7 @@ class CrossModuleWriteRule(ProjectRule):
     name = "cross-module-write"
     summary = (
         "resource-array writes may not be laundered through helpers in "
-        "another module; call the owners' public API instead"
+        "another module; call the owner's public API instead"
     )
 
     def check_project(
@@ -61,8 +61,7 @@ class CrossModuleWriteRule(ProjectRule):
                     message=(
                         f"call to '{site.name}' reaches a resource-array "
                         f"write in {target.module} that is not part of "
-                        "the owners' public API; route the mutation "
-                        "through datacenter/state.py or "
-                        "datacenter/resources.py"
+                        "the owner's public API; route the mutation "
+                        "through datacenter/state.py"
                     ),
                 )

@@ -29,9 +29,9 @@ from repro.core.online import UpdateResult
 from repro.core.scheduler import Ostro
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.model import Cloud, Level
-from repro.datacenter.state import DataCenterState
+from repro.datacenter.state import DataCenterState, Snapshot
 from repro.errors import PlacementError
-from repro.service.shard import PodShard, Snapshot, build_shards
+from repro.service.shard import PodShard, build_shards
 
 
 class ShardedCoordinator:

@@ -8,8 +8,8 @@ the coordinator's global state: before every search the shard state is
 restored from a global snapshot with every out-of-shard host's free CPU,
 memory, and disk zeroed. The search algorithms only ever consult the
 free arrays, so zeroing is enough to confine the search to the shard --
-no algorithm changes, and no resource-array writes outside the sanctioned
-writer modules (the masked snapshot is plain tuples fed to
+no algorithm changes, and no resource-array writes outside the state
+itself (the masked snapshot is fresh buffers fed to
 :meth:`~repro.datacenter.state.DataCenterState.restore`).
 
 Shards never commit: they return candidate placements that the
@@ -23,16 +23,23 @@ the shard boundary.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from array import array
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.base import PlacementResult
 from repro.core.greedy import GreedyConfig
 from repro.core.scheduler import Ostro
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.model import Cloud, Level
-from repro.datacenter.state import DataCenterState
+from repro.datacenter.state import DataCenterState, Snapshot
 
-Snapshot = Tuple[Tuple[float, ...], ...]
+
+def _keep(column: "array[float]", slots: Iterable[int]) -> "array[float]":
+    """A zeroed copy of ``column`` that keeps only the given slots."""
+    masked = array("d", [0.0]) * len(column)
+    for slot in slots:
+        masked[slot] = column[slot]
+    return masked
 
 
 class PodShard:
@@ -69,7 +76,6 @@ class PodShard:
         self.disks: Tuple[int, ...] = tuple(
             disk.index for h in self.hosts for disk in cloud.hosts[h].disks
         )
-        self._disk_set = frozenset(self.disks)
         self.racks: Tuple[int, ...] = tuple(
             sorted({cloud.hosts[h].rack.index for h in self.hosts})
         )
@@ -101,16 +107,13 @@ class PodShard:
         fact the objective's u_c term must see).
         """
         cpu, mem, disk, bw, units = snapshot
-        masked_cpu = tuple(
-            v if i in self._host_set else 0.0 for i, v in enumerate(cpu)
+        return (
+            _keep(cpu, self.hosts),
+            _keep(mem, self.hosts),
+            _keep(disk, self.disks),
+            bw,
+            units,
         )
-        masked_mem = tuple(
-            v if i in self._host_set else 0.0 for i, v in enumerate(mem)
-        )
-        masked_disk = tuple(
-            v if i in self._disk_set else 0.0 for i, v in enumerate(disk)
-        )
-        return (masked_cpu, masked_mem, masked_disk, bw, units)
 
     def sync(self, snapshot: Snapshot) -> None:
         """Refresh the shard's scratch state from a global snapshot."""

@@ -30,6 +30,7 @@ from repro.core.objective import Objective
 from repro.core.placement import PartialPlacement
 from repro.core.scheduler import Ostro
 from repro.datacenter.loadgen import apply_random_load
+from repro.datacenter.model import Cloud, DataCenter, Host, Rack
 from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from repro.errors import PlacementError, ReproError
@@ -288,8 +289,9 @@ def _trajectory(algorithm, topo, cloud, state, kernel_name):
 
 class TestStateViewCache:
     def test_scratch_states_die_with_their_search(self, small_dc):
-        """The mirror cache is keyed weakly by state; a view holding its
-        state strongly kept every scratch clone of every search alive."""
+        """The view cache is keyed weakly by state; a view holding its
+        state strongly kept every scratch clone of every search alive
+        (its columns hold the state's buffers, which is fine)."""
 
         def live():
             gc.collect()
@@ -408,9 +410,23 @@ class _MutationDriver:
             )
 
 
-class TestStateViewJournal:
-    """A view patched from the state's write journal must equal one
-    built from scratch, after any mutation, in any order."""
+_VIEW_COLUMNS = (
+    ("cpu_free", "free_cpu"), ("mem_free", "free_mem"),
+    ("disk_free", "free_disk"), ("bw_free", "free_bw"),
+    ("units", "host_units"),
+)
+
+
+def _assert_view_is_the_store(view, state, context=None):
+    for viewed, stored in _VIEW_COLUMNS:
+        assert getattr(view, viewed).tolist() == list(
+            getattr(state, stored)
+        ), (context, viewed)
+
+
+class TestStateViewIsTheStore:
+    """The view aliases the state's buffers: one object per state, equal
+    to the store after any mutation, with nothing to refresh."""
 
     @settings(
         max_examples=60, deadline=None,
@@ -420,38 +436,87 @@ class TestStateViewJournal:
         st.tuples(st.sampled_from(_MUTATIONS), st.integers(0, 10_000)),
         min_size=1, max_size=60,
     ))
-    def test_patched_view_equals_a_fresh_one(self, ops):
+    def test_view_equals_the_store_after_every_mutation(self, ops):
         driver = _MutationDriver()
-        kernel.StateView.for_state(driver.state)  # the long-lived mirror
+        view = kernel.StateView.for_state(driver.state)
+        columns = [getattr(view, viewed) for viewed, _ in _VIEW_COLUMNS]
         for op, arg in ops:
             try:
                 driver.apply(op, arg)
             except ReproError:
-                pass  # a refused mutation: whatever it left must mirror too
-            view = kernel.StateView.for_state(driver.state)
-            fresh = kernel.StateView()
-            fresh.refresh(driver.state)
-            for column in (
-                "cpu_free", "mem_free", "disk_free", "bw_free", "active"
-            ):
-                mirrored, rebuilt = getattr(view, column), getattr(fresh, column)
-                assert mirrored.dtype == rebuilt.dtype
-                assert mirrored.tolist() == rebuilt.tolist(), (op, column)
+                pass  # a refused mutation: whatever it left shows too
+            assert kernel.StateView.for_state(driver.state) is view
+            _assert_view_is_the_store(view, driver.state, op)
+        for column, (viewed, _) in zip(columns, _VIEW_COLUMNS):
+            assert getattr(view, viewed) is column  # never rebuilt
 
-    def test_narrow_writes_patch_and_wide_writes_rebuild(self, small_dc):
+    @pytest.mark.parametrize("write", [
+        lambda s: s.place_vm(2, 4, 8),
+        lambda s: s.reserve_path(s.cloud.path(2, 9), 100.0),
+        lambda s: s.restore(s.snapshot()),
+        lambda s: s.fail_host(2),
+        lambda s: (s.fail_host(2), s.restore_host(2)),
+        lambda s: (s.fail_link(0), s.restore_link(0)),
+    ])
+    def test_one_view_object_survives_narrow_and_wide_writes(
+        self, small_dc, write
+    ):
         state = DataCenterState(small_dc)
+        state.place_volume(1, 10)
         view = kernel.StateView.for_state(state)
         cpu, bw = view.cpu_free, view.bw_free
-        state.place_vm(2, 4, 8)
-        state.reserve_path(small_dc.path(2, 9), 100.0)
+        write(state)
         assert kernel.StateView.for_state(state) is view
-        assert view.cpu_free is cpu and view.bw_free is bw  # patched in place
-        assert cpu.tolist() == state.free_cpu and bw.tolist() == state.free_bw
-        assert view.active.tolist() == [u > 0 for u in state.host_units]
+        assert view.cpu_free is cpu and view.bw_free is bw
+        _assert_view_is_the_store(view, state)
+        assert (view.units > 0).tolist() == [
+            state.host_is_active(h) for h in range(small_dc.num_hosts)
+        ]
+
+    def test_a_clones_view_is_independent_of_its_parents(self, small_dc):
+        state = DataCenterState(small_dc)
+        state.place_vm(0, 1, 1)
+        view = kernel.StateView.for_state(state)
+        clone = state.clone()
+        clone_view = kernel.StateView.for_state(clone)
+        assert clone_view is not view
+        _assert_view_is_the_store(clone_view, clone)
+        clone.place_vm(1, 1, 1)
+        state.place_vm(2, 1, 1)
+        _assert_view_is_the_store(clone_view, clone)
+        _assert_view_is_the_store(view, state)
+        assert clone_view.cpu_free.tolist() != view.cpu_free.tolist()
+
+    def test_the_state_is_the_one_writer(self, small_dc):
+        state = DataCenterState(small_dc)
+        view = kernel.StateView.for_state(state)
+        with pytest.raises(ValueError, match="read-only"):
+            view.cpu_free[0] = 0.0
+        # the exported buffers pin each column's length
+        with pytest.raises(BufferError):
+            state.free_cpu.append(0.0)
+        # no coherence protocol beside the store
+        for gone in ("version", "refresh", "active"):
+            assert not hasattr(view, gone) and not hasattr(state, gone)
+
+    def test_a_disk_less_cloud_has_an_empty_disk_column(self):
+        hosts = [
+            Host(name=f"h{i}", cpu_cores=4, mem_gb=8, disks=[],
+                 nic_bw_mbps=1000.0)
+            for i in range(3)
+        ]
+        cloud = Cloud([DataCenter(name="bare", racks=[
+            Rack(name="rack", hosts=hosts, uplink_bw_mbps=10_000.0)
+        ])])
+        state = DataCenterState(cloud)
+        view = kernel.StateView.for_state(state)
+        assert view.disk_free.shape == (0,)
+        _assert_view_is_the_store(view, state)
         state.restore(state.snapshot())
-        kernel.StateView.for_state(state)
-        assert view.cpu_free is not cpu  # journal dropped: re-copied
-        assert view.cpu_free.tolist() == state.free_cpu
+        topo = make_three_tier(db=0)  # VMs only
+        numpy_result = _run(EG(), topo, cloud, state, "numpy")
+        python_result = _run(EG(), topo, cloud, state, "python")
+        assert _placement_blob(numpy_result) == _placement_blob(python_result)
 
 
 class TestFixedTopologyEquivalence:

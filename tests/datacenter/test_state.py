@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro import obs
+from repro.datacenter.builder import build_datacenter
 from repro.datacenter.state import DataCenterState
-from repro.errors import CapacityError
+from repro.errors import CapacityError, DataCenterError
 
 
 @pytest.fixture
@@ -16,9 +17,10 @@ def state(small_dc):
 
 class TestInitialState:
     def test_starts_fully_free(self, state, small_dc):
-        assert state.free_cpu == [h.cpu_cores for h in small_dc.hosts]
-        assert state.free_mem == [h.mem_gb for h in small_dc.hosts]
-        assert state.free_bw == list(small_dc.link_capacity_mbps)
+        assert list(state.free_cpu) == [h.cpu_cores for h in small_dc.hosts]
+        assert list(state.free_mem) == [h.mem_gb for h in small_dc.hosts]
+        assert list(state.free_disk) == [d.capacity_gb for d in small_dc.disks]
+        assert list(state.free_bw) == list(small_dc.link_capacity_mbps)
         assert not any(state.host_units)
 
     def test_no_active_hosts_initially(self, state):
@@ -177,6 +179,37 @@ class TestTransaction:
         state.unplace_vm(7, 4, 8)
         assert state.snapshot() == pristine
 
+    def test_a_snapshot_is_a_copy_that_compares_by_value(self, state):
+        base = state.snapshot()
+        assert not (state.snapshot() != base)
+        state.place_vm(0, 1, 1)
+        assert state.snapshot() != base
+        assert base[0][0] == 16 and base[4][0] == 0  # untouched by the write
+        state.restore(base)
+        assert state.snapshot() == base
+        assert [type(v) for v in (state.free_cpu[0], state.host_units[0])] == [
+            float, int
+        ]
+
+    def test_restore_refuses_a_snapshot_of_another_shape(self, state):
+        """A list-backed ``free_cpu[:] = shorter`` silently resized the
+        column; every later index was off by the difference."""
+        state.place_vm(0, 4, 8)
+        before = state.snapshot()
+        foreign = DataCenterState(
+            build_datacenter(num_racks=4, hosts_per_rack=3)
+        ).snapshot()
+        with pytest.raises(DataCenterError, match=r"free_cpu has 12 .* 16"):
+            state.restore(foreign)
+        # same hosts, one column short: nothing before it was written either
+        cpu, mem, disk, bw, units = before
+        state.place_vm(1, 4, 8)
+        after = state.snapshot()
+        with pytest.raises(DataCenterError, match="free_bw"):
+            state.restore((cpu, mem, disk, bw[:-1], units))
+        assert state.snapshot() == after
+        assert len(state.free_bw) == len(bw)
+
     def test_reports_library_errors_once_when_given_an_app(self, state):
         def fail(app, error):
             with pytest.raises(error):
@@ -190,6 +223,23 @@ class TestTransaction:
         (event,) = rec.events.of_type("rollback")
         assert event.fields["app"] == "shop"
         assert rec.registry.get("ostro_rollbacks_total").value() == 1
+
+
+class TestRestoreSlots:
+    def test_overwrites_what_arithmetic_undo_smears(self, state):
+        before = state.snapshot()
+        saved = [("cpu", 1, state.free_cpu[1]), ("mem", 1, state.free_mem[1]),
+                 ("disk", 4, state.free_disk[4]), ("bw", 7, state.free_bw[7])]
+        for sign in (1, -1):
+            for cpu in (0.1, 2.3)[::sign]:
+                (state.place_vm if sign > 0 else state.unplace_vm)(1, cpu, 1)
+        assert state.snapshot() != before  # 16 - 0.1 - 2.3 + 2.3 + 0.1 != 16
+        state.restore_slots(saved)
+        assert state.snapshot() == before
+
+    def test_unknown_kind_is_an_error(self, state):
+        with pytest.raises(ValueError, match="units"):
+            state.restore_slots([("units", 0, 0)])
 
 
 class TestClone:
@@ -214,92 +264,3 @@ class TestBackgroundLoad:
     def test_consume_background_without_unit(self, state):
         state.consume_background(0, vcpus=4, mem_gb=4, count_as_unit=False)
         assert not state.host_is_active(0)
-
-
-class TestWriteJournal:
-    """What array mirrors patch themselves from (``written_since``)."""
-
-    def test_reports_each_mutation_since_a_version(self, state):
-        start = state.version
-        state.place_vm(3, 1, 1)
-        state.reserve_path((0, 1), 5)
-        middle = state.version
-        state.place_volume(2, 10)
-        owner = state.cloud.disks[2].host.index
-        assert [
-            tuple(map(tuple, entry)) for entry in state.written_since(start)
-        ] == [((3,), (), ()), ((), (), (0, 1)), ((owner,), (2,), ())]
-        assert len(state.written_since(middle)) == 1
-        assert state.written_since(state.version) == []
-
-    def test_restore_slots_journals_what_it_overwrites(self, state):
-        saved = [
-            ("cpu", 1, state.free_cpu[1]),
-            ("mem", 1, state.free_mem[1]),
-            ("disk", 4, state.free_disk[4]),
-            ("bw", 7, state.free_bw[7]),
-        ]
-        before = state.snapshot()
-        state.place_vm(1, 2, 2)
-        state.unplace_vm(1, 2, 2)
-        version = state.version
-        state.restore_slots(saved)
-        assert state.snapshot() == before
-        assert state.version == version + 1
-        hosts, disks, links = state.written_since(version)[0]
-        assert (set(hosts), set(disks), set(links)) == ({1}, {4}, {7})
-
-    @pytest.mark.parametrize("wide_write", [
-        lambda s: s.restore(s.snapshot()),
-        lambda s: s.fail_host(2),
-        lambda s: s.fail_link(0),
-        lambda s: (s.fail_host(2), s.restore_host(2)),
-        lambda s: (s.fail_link(0), s.restore_link(0)),
-    ])
-    def test_wide_writes_drop_the_journal(self, state, wide_write):
-        state.place_vm(0, 1, 1)
-        stale = state.version
-        wide_write(state)
-        assert state.version > stale
-        assert state.written_since(stale) is None
-        assert state.written_since(state.version) == []
-
-    def test_rolled_back_transaction_drops_the_journal(self, state):
-        stale = state.version
-        with pytest.raises(RuntimeError):
-            with state.transaction():
-                state.place_vm(0, 1, 1)
-                raise RuntimeError("boom")
-        assert state.written_since(stale) is None
-
-    def test_clone_starts_an_empty_journal(self, state):
-        state.place_vm(0, 1, 1)
-        clone = state.clone()
-        assert clone.version == 0
-        assert clone.written_since(0) == []
-        clone.place_vm(1, 1, 1)
-        assert len(clone.written_since(0)) == 1
-        assert len(state.written_since(0)) == 1  # journals are not shared
-
-    def test_stays_bounded_when_nothing_reads_it(self, state):
-        """The python kernel never builds a mirror: the journal must
-        not grow with the life of the state."""
-        from repro.datacenter.state import _JOURNAL_CAP
-
-        reader = state.version
-        for round_ in range(2500):
-            host = round_ % state.cloud.num_hosts
-            nic = state.cloud.hosts[host].link_index
-            for mutate, args in (
-                (state.place_vm, (host, 1, 1)),
-                (state.reserve_path, ((nic,), 10)),
-                (state.release_path, ((nic,), 10)),
-                (state.unplace_vm, (host, 1, 1)),
-            ):
-                mutate(*args)
-                assert len(state._journal) <= _JOURNAL_CAP
-        assert state.version == reader + 10_000
-        # a reader that fell behind an overflow must rebuild, a current
-        # one has nothing to patch
-        assert state.written_since(reader) is None
-        assert state.written_since(state.version) == []

@@ -403,7 +403,7 @@ class TestCrossModuleWrites:
         diags = lint_project_sources(
             [
                 (
-                    "src/repro/datacenter/resources.py",
+                    "src/repro/datacenter/state.py",
                     textwrap.dedent(
                         """
                         def release(state, host):
@@ -415,7 +415,7 @@ class TestCrossModuleWrites:
                     "src/repro/sim/caller.py",
                     textwrap.dedent(
                         """
-                        from repro.datacenter.resources import release
+                        from repro.datacenter.state import release
 
 
                         def evict(state, host):
@@ -425,9 +425,7 @@ class TestCrossModuleWrites:
                 ),
             ],
             modules={
-                "src/repro/datacenter/resources.py": (
-                    "repro.datacenter.resources"
-                ),
+                "src/repro/datacenter/state.py": "repro.datacenter.state",
                 "src/repro/sim/caller.py": "repro.sim.caller",
             },
         )

@@ -103,14 +103,26 @@ class TestOST005ResourceWrite:
     def test_writes_outside_owners_fire(self):
         check_fixture("ost005_resource_write.py")
 
+    def test_the_message_says_what_a_rebinding_breaks(self):
+        source, module, _ = load_fixture("ost005_resource_write.py")
+        diags = lint_source(source, module=module)
+        assert len(diags) == 3  # slot write, in-place call, rebinding
+        assert all("detaches the array views" in d.message for d in diags)
+
     def test_owner_modules_may_write(self):
+        from repro.lint.rules.confinement import RESOURCE_WRITER_MODULES
+
+        assert RESOURCE_WRITER_MODULES == {"repro.datacenter.state"}
         source, _, _ = load_fixture("ost005_resource_write.py")
-        for owner in ("repro.datacenter.state", "repro.datacenter.resources"):
-            assert lint_source(source, module=owner) == []
+        assert lint_source(source, module="repro.datacenter.state") == []
 
     def test_the_placement_applier_is_not_an_owner(self):
         source, _, _ = load_fixture("ost005_resource_write.py")
         assert lint_source(source, module="repro.core.placement") != []
+
+    def test_the_resource_dataclasses_are_not_an_owner(self):
+        source, _, _ = load_fixture("ost005_resource_write.py")
+        assert lint_source(source, module="repro.datacenter.resources") != []
 
 
 class TestOST006NoPrint:

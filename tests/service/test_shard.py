@@ -41,6 +41,8 @@ class TestMasking:
         state = DataCenterState(podded_cloud)
         shards = build_shards(podded_cloud)
         shard = shards[0]
+        state.place_vm(shard.hosts[0], 1, 1)  # non-trivial units and NIC use
+        state.reserve_path(podded_cloud.path(shard.hosts[0], 7), 10.0)
         masked = shard.masked_snapshot(state.snapshot())
         cpu, mem, disk, bw, units = masked
         for h in range(podded_cloud.num_hosts):
@@ -50,9 +52,16 @@ class TestMasking:
             else:
                 assert cpu[h] == 0.0
                 assert mem[h] == 0.0
+        for d in range(len(podded_cloud.disks)):
+            owned = shard.owns_host(podded_cloud.disks[d].host.index)
+            assert disk[d] == (state.free_disk[d] if owned else 0.0)
         # bandwidth and unit counts keep their global values
-        assert bw == tuple(state.free_bw)
-        assert units == tuple(float(u) for u in state.host_units)
+        assert list(bw) == list(state.free_bw)
+        assert list(units) == list(state.host_units)
+        # one format: the masked snapshot loads like any other
+        scratch = DataCenterState(podded_cloud)
+        scratch.restore(masked)
+        assert scratch.snapshot() == masked
 
     def test_search_confined_to_shard(self, podded_cloud):
         state = DataCenterState(podded_cloud)
