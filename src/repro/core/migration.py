@@ -1,43 +1,38 @@
-"""Migration planning between two placements of the same application.
+"""Re-placement toolkit: search again, value keeping, plan, migrate.
 
-The paper motivates placement decisions "not just at application
-deployment time, but also at runtime if the infrastructure is being
-managed adaptively and the resource assignments to applications can be
-changed" (Section I). Changing assignments means *migrating* running VMs
-and volumes — and a new placement cannot simply be applied wholesale: a
-node's target host may be occupied by another node that has not moved out
-yet, and every intermediate configuration must respect capacity and
-bandwidth.
+The paper treats runtime adaptation (Section I) as one operation: release
+an application, search again, compare against keeping the current
+placement, migrate. This module holds the one implementation of each
+part; :meth:`~repro.core.scheduler.Ostro.reoptimize`, the defragmenter
+(:mod:`repro.defrag`) and scale-in consolidation are acceptance policies
+over them.
 
-:func:`plan_migration` turns an (old placement, new placement) pair into
-an ordered list of :class:`MigrationStep` moves that is safe to execute
-one move at a time:
-
-1. Nodes whose assignment is unchanged are untouched.
-2. At each round, any node whose *target* currently has room (CPU/memory
-   or disk, plus bandwidth for its links toward every neighbor's current
-   location) is moved.
-3. When no node can move directly — a cycle, e.g. two VMs swapping
-   hosts — one blocked node is *bounced* to a temporary host with room,
-   breaking the cycle at the cost of one extra move (bounded by
-   ``max_bounces``).
-
-The plan is validated by simulation on a cloned state as it is built, so
-a returned plan is feasible by construction; :func:`apply_plan` executes
-it against a live state.
+* :func:`replan` searches again read-only on a released clone and values
+  keeping the current placement (:func:`keep_value`) against that clone.
+* :func:`plan_migration` turns (old, new) placements into moves that are
+  safe one at a time: each round moves every node whose target has room
+  (capacity plus bandwidth toward its neighbors' current hosts); a cycle
+  is broken by *bouncing* one node to a temporary host (``max_bounces``).
+  Plans are simulated on a clone as they are built.
+* :func:`apply_plan` executes a plan against the live scheduler, one
+  gated transaction per step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
-from repro.core.placement import Placement
+from repro.core.base import PlacementResult
+from repro.core.objective import Objective
+from repro.core.placement import Assignment, Placement
+from repro.core.scheduler import DeployedApplication, Ostro, make_algorithm
 from repro.core.topology import ApplicationTopology
 from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
-from repro.errors import CapacityError, PlacementError
+from repro.errors import CapacityError, MigrationAborted, PlacementError, ReproError
+from repro.faults.retry import retry_call
 
 
 @dataclass(frozen=True)
@@ -146,6 +141,22 @@ class _Simulator:
         self.location[node] = (to_host, to_disk)
         return True
 
+    def endpoint_down(self, step: MigrationStep) -> bool:
+        """True when the step's source or target host has crashed."""
+        state = self.state
+        disks = state.cloud.disks
+        from_host, from_disk = self.location[step.node]
+        if self.topology.node(step.node).is_vm:
+            source, target = from_host, step.to_host
+        else:
+            source = disks[from_disk].host.index
+            target = (
+                disks[step.to_disk].host.index
+                if step.to_disk is not None
+                else step.to_host
+            )
+        return state.host_is_down(source) or state.host_is_down(target)
+
     def find_bounce_target(
         self, node: str
     ) -> Optional[Tuple[int, Optional[int]]]:
@@ -166,6 +177,62 @@ class _Simulator:
             if self.state.volume_fits(disk_index, record.size_gb):
                 return disk.host.index, disk_index
         return None
+
+
+def keep_value(
+    ostro: Ostro,
+    topology: ApplicationTopology,
+    placement: Placement,
+    released: DataCenterState,
+) -> float:
+    """Objective value of keeping an existing placement where it is.
+
+    Scored against ``released`` -- the state with this application's
+    reservations released, the reference a fresh search scores against:
+    u_bw over the resolver's current paths, u_c counting the hosts only
+    this application keeps active. Re-deriving the identical placement
+    therefore gains exactly 0.
+    """
+    ubw = 0.0
+    for link in topology.links:
+        path = ostro.resolver.path(
+            placement.host_of(link.a), placement.host_of(link.b)
+        )
+        ubw += link.bw_mbps * len(path)
+    hosts = {a.host for a in placement.assignments.values()}
+    activated = sum(1 for host in hosts if not released.host_is_active(host))
+    return Objective.for_topology(
+        topology, ostro.cloud, ostro.theta_bw, ostro.theta_c
+    ).score(ubw, activated)
+
+
+def replan(
+    ostro: Ostro, app_name: str, algorithm: str, **options: Any
+) -> Tuple[PlacementResult, float, DataCenterState]:
+    """Search a deployed application again without touching the live state.
+
+    Releases the application on a clone of the live state and places it
+    there from scratch (``options`` go to
+    :func:`~repro.core.scheduler.make_algorithm`, e.g. ``deadline_s``).
+    Returns ``(result, keep, released)``: the fresh placement, the
+    :func:`keep_value` of the current one, and the released clone. Which
+    gain ``keep - result.objective_value`` is worth a migration is the
+    caller's policy. Raises :class:`~repro.errors.DeadlineError` for an
+    unusable deadline and :class:`~repro.errors.PlacementError` when no
+    placement exists.
+    """
+    deployed = ostro.deployed(app_name)
+    topology, placement = deployed.topology, deployed.placement
+    released = ostro.state.clone()
+    ostro.release(topology, placement, released)
+    objective = Objective.for_topology(
+        topology, ostro.cloud, ostro.theta_bw, ostro.theta_c
+    )
+    options.setdefault("greedy_config", ostro.greedy_config)
+    result = make_algorithm(algorithm, **options).place(
+        topology, ostro.cloud, released, objective
+    )
+    return result, keep_value(ostro, topology, placement, released), released
 
 
 def plan_migration(
@@ -252,26 +319,87 @@ def plan_migration(
     return plan
 
 
+#: hook called before each executed step: (app_name, step_index, step).
+#: Tests use it to inject faults at exact plan positions.
+StepHook = Callable[[str, int, MigrationStep], None]
+
+
+def step_gb(topology: ApplicationTopology, step: MigrationStep) -> float:
+    """Gigabytes one step relocates (VM memory or volume size)."""
+    record = topology.node(step.node)
+    return record.mem_gb if record.is_vm else record.size_gb
+
+
 def apply_plan(
-    topology: ApplicationTopology,
-    state: DataCenterState,
+    ostro: Ostro,
+    app_name: str,
     old_placement: Placement,
+    new_placement: Placement,
     plan: MigrationPlan,
+    step_hook: Optional[StepHook] = None,
 ) -> None:
-    """Execute a plan against a live state (with the old placement
-    committed), move by move; raises mid-way only if the plan is stale."""
-    resolver = PathResolver(state.cloud)
-    sim = _Simulator(topology, state, resolver, old_placement)
+    """Execute a plan against the live scheduler, one gated step at a time.
+
+    Each step is a surrogate API call: gated by the fault injector
+    (service ``"defrag"``, method ``"migrate"``), retried under the
+    scheduler's retry policy, and run in a state transaction, so a failed
+    step restores the pre-step state bit-exactly. A step whose source or
+    target host crashed since planning is refused before any capacity is
+    touched. Every landed step is recorded in the application's placement
+    (bounce spots included), so :meth:`~repro.core.scheduler.Ostro.
+    verify_state` stays exact throughout; after the last step the
+    recorded placement is ``new_placement``.
+
+    Raises:
+        MigrationAborted: stale plan (the application departed or moved
+            since planning), endpoint host down, or a step rolled back.
+            ``executed`` counts the landed steps; they stand.
+    """
+    deployed = ostro.applications.get(app_name)
+    if (
+        deployed is None
+        or deployed.placement.assignments != old_placement.assignments
+    ):
+        raise MigrationAborted("stale plan")
+    topology = deployed.topology
+    state = ostro.state
+    sim = _Simulator(topology, state, ostro.resolver, deployed.placement)
     rec = obs.get_recorder()
-    for step in plan.steps:
-        if not sim.try_move(step.node, step.to_host, step.to_disk):
-            raise PlacementError(
-                f"migration step for {step.node!r} no longer fits; "
-                "re-plan against the current state"
-            )
+    for index, step in enumerate(plan.steps):
+        if step_hook is not None:
+            step_hook(app_name, index, step)
+        if sim.endpoint_down(step):
+            raise MigrationAborted("endpoint host down", executed=index)
+
+        def move() -> None:
+            if ostro.injector is not None:
+                ostro.injector.before_api_call("defrag", "migrate")
+            if not sim.try_move(step.node, step.to_host, step.to_disk):
+                raise PlacementError(
+                    f"migration step for {step.node!r} no longer fits; "
+                    "re-plan against the current state"
+                )
+
+        try:
+            with state.transaction():
+                retry_call(
+                    ostro.retry_policy, move, service="defrag", method="migrate"
+                )
+        except ReproError as exc:
+            if rec.enabled:
+                rec.inc("ostro_defrag_rollbacks_total")
+                rec.event(
+                    "defrag_step_rolled_back",
+                    app=app_name,
+                    node=step.node,
+                    reason=str(exc),
+                )
+            raise MigrationAborted(str(exc), executed=index) from exc
+        deployed.placement.assignments[step.node] = Assignment(
+            node=step.node, host=step.to_host, disk=step.to_disk
+        )
         if rec.enabled:
-            record = topology.node(step.node)
-            moved_gb = record.mem_gb if record.is_vm else record.size_gb
+            moved_gb = step_gb(topology, step)
             rec.inc(
                 "ostro_migration_steps_total",
                 kind="bounce" if step.bounce else "move",
@@ -279,9 +407,15 @@ def apply_plan(
             rec.inc("ostro_migration_moved_gb_total", moved_gb)
             rec.event(
                 "migration_step",
+                app=app_name,
                 node=step.node,
                 to_host=step.to_host,
                 to_disk=step.to_disk,
                 bounce=step.bounce,
                 moved_gb=moved_gb,
             )
+    # every step landed: record the clean new placement (assignments
+    # already match it; this restores exact aggregate accounting)
+    ostro.applications[app_name] = DeployedApplication(
+        topology=topology, placement=new_placement
+    )

@@ -3,24 +3,18 @@
 An application topology can be updated at runtime -- VMs added or removed,
 requirements changed. Re-placing the whole topology from scratch would both
 waste scheduler time and needlessly migrate running VMs, so
-:func:`update_application` re-places *incrementally*:
+:func:`update_application` re-places *incrementally*: it releases the
+deployed application, re-places it with every unchanged node **pinned** to
+its current location, and when pinning makes the problem infeasible
+progressively unpins -- first the topological neighbors of the
+added/changed nodes (updates "can in fact spread out to a large portion of
+the application nodes"), then everything.
 
-1. Diff the new topology against the deployed one (added / removed /
-   changed nodes).
-2. Release the deployed application's reservations.
-3. Re-place with every unchanged node **pinned** to its current location,
-   searching only over the added/changed nodes.
-4. If pinning makes the problem infeasible, progressively unpin: first the
-   topological neighbors of the added/changed nodes (the paper's
-   observation that updates "can in fact spread out to a large portion of
-   the application nodes"), then everything.
-5. Commit the new placement and report which previously placed nodes moved.
-
-The same machinery powers **host evacuation** (:func:`evacuate_host`):
-when a host crashes, every application with nodes on it is re-placed with
-the victims freed and the survivors pinned, preserving anti-affinity and
-bandwidth constraints -- the paper's runtime-adaptation story applied to
-failures instead of updates.
+**Host evacuation** (:func:`evacuate_host`) runs the same unpinning loop
+with a crashed host's victims freed and the survivors pinned -- the
+paper's runtime-adaptation story applied to failures instead of updates.
+Tier scale-out/in (:func:`add_vms_to_tier`, :func:`remove_vms_from_tier`)
+complete the module.
 """
 
 from __future__ import annotations
@@ -32,25 +26,30 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Set,
     Tuple,
+    Type,
+    TypeVar,
     Union,
 )
 
 from repro import obs
 from repro.core.base import PlacementResult
-from repro.core.objective import Objective
+from repro.core.migration import StepHook, keep_value
+from repro.core.placement import Placement
+from repro.core.scheduler import DeployedApplication, Ostro
 from repro.core.topology import ApplicationTopology
-from repro.errors import DeadlineError, PlacementError
+from repro.errors import DeadlineError, PlacementError, ReproError
 from repro.faults.retry import retry_call
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import
-    from repro.core.migration import MigrationStep
-    from repro.core.scheduler import Ostro
     from repro.defrag.executor import DefragStats
     from repro.defrag.planner import DefragConfig
+
+R = TypeVar("R")
 
 
 @dataclass
@@ -117,20 +116,13 @@ def update_application(
     added, removed, changed = diff_topologies(old_topology, new_topology)
 
     if not added and not removed and not changed:
-        # Empty diff: the deployment already satisfies the request. A
-        # true no-op -- no release/re-commit cycle, no search work, no
-        # state mutation, and no update telemetry.
-        objective = Objective.for_topology(
-            old_topology, ostro.cloud, ostro.theta_bw, ostro.theta_c
-        )
-        return UpdateResult(
-            result=PlacementResult(
-                placement=old_placement,
-                objective_value=ostro._placement_value(
-                    old_topology, old_placement, objective
-                ),
-            )
-        )
+        # Empty diff: a true no-op -- no search, no live-state mutation,
+        # no update telemetry. The reported value is the like-for-like
+        # keep value that reoptimize and defrag compare against.
+        released = ostro.state.clone()
+        ostro.release(old_topology, old_placement, released)
+        value = keep_value(ostro, old_topology, old_placement, released)
+        return UpdateResult(PlacementResult(old_placement, value))
 
     # Release the old deployment; we re-commit (old or new) before returning.
     ostro.remove(new_topology.name)
@@ -140,55 +132,42 @@ def update_application(
         for name in new_topology.nodes
         if name in old_placement.assignments and name not in changed
     ]
-    unpinned: Set[str] = set(added) | set(changed)
-    rounds = 0
-    while True:
-        pinned = {
-            name: (
-                old_placement.assignments[name].host,
-                old_placement.assignments[name].disk,
+    result, rounds, error = _place_unpinning(
+        new_topology,
+        old_placement,
+        keep,
+        set(added) | set(changed),
+        lambda pinned: ostro.place(
+            new_topology,
+            algorithm=algorithm,
+            commit=True,
+            pinned=pinned,
+            **options,
+        ),
+        (PlacementError,),
+        max_unpin_rounds,
+    )
+    rec = obs.get_recorder()
+    if error is not None:
+        # Even the fully free search failed: restore the original.
+        ostro.commit(old_topology, old_placement)
+        if rec.enabled:
+            rec.inc("ostro_update_failures_total")
+            rec.event(
+                "update_failed",
+                app=new_topology.name,
+                added=len(added),
+                removed=len(removed),
+                changed=len(changed),
+                unpin_rounds=rounds,
             )
-            for name in keep
-            if name not in unpinned
-        }
-        try:
-            result = ostro.place(
-                new_topology,
-                algorithm=algorithm,
-                commit=True,
-                pinned=pinned,
-                **options,
-            )
-            break
-        except PlacementError:
-            if not pinned or rounds >= max_unpin_rounds:
-                # Even the fully free search failed: restore the original.
-                ostro.commit(old_topology, old_placement)
-                rec = obs.get_recorder()
-                if rec.enabled:
-                    rec.inc("ostro_update_failures_total")
-                    rec.event(
-                        "update_failed",
-                        app=new_topology.name,
-                        added=len(added),
-                        removed=len(removed),
-                        changed=len(changed),
-                        unpin_rounds=rounds,
-                    )
-                raise
-            frontier = _expand_frontier(new_topology, unpinned)
-            if frontier == unpinned:
-                unpinned = set(new_topology.nodes)  # unpin everything
-            else:
-                unpinned = frontier
-            rounds += 1
+        raise error
 
     moved = [
         name
         for name in keep
         if result.placement.host_of(name) != old_placement.host_of(name)
     ]
-    rec = obs.get_recorder()
     if rec.enabled:
         rec.inc("ostro_updates_total")
         rec.event(
@@ -210,16 +189,42 @@ def update_application(
     )
 
 
-def _expand_frontier(
-    topology: ApplicationTopology, current: Set[str]
-) -> Set[str]:
-    """Grow an unpinned set by one hop of topological neighbors."""
-    grown = set(current)
-    for name in current:
-        if name not in topology.nodes:
-            continue
-        grown.update(nbr for nbr, _ in topology.neighbors(name))
-    return grown
+def _place_unpinning(
+    topology: ApplicationTopology,
+    placement: Placement,
+    keep: Iterable[str],
+    unpinned: Set[str],
+    place: Callable[[Dict[str, Tuple[int, Optional[int]]]], R],
+    errors: Tuple[Type[ReproError], ...],
+    max_rounds: int,
+) -> Tuple[Optional[R], int, Optional[ReproError]]:
+    """Progressive unpinning: the one loop behind update and evacuation.
+
+    Calls ``place(pinned)`` with every ``keep`` node outside ``unpinned``
+    held at its (host, disk) in ``placement``. On one of ``errors``,
+    ``unpinned`` grows by one hop of neighbors (to everything once it
+    stops growing) and ``place`` runs again, at most ``max_rounds`` times.
+    Returns ``(result, rounds, None)``, or ``(None, rounds, last_error)``
+    when nothing was left to unpin or the rounds ran out.
+    """
+    rounds = 0
+    while True:
+        pinned = {
+            name: (placement.assignments[name].host, placement.assignments[name].disk)
+            for name in keep
+            if name not in unpinned
+        }
+        try:
+            return place(pinned), rounds, None
+        except errors as exc:
+            if not pinned or rounds >= max_rounds:
+                return None, rounds, exc
+            frontier = set(unpinned)
+            for name in unpinned:
+                if name in topology.nodes:
+                    frontier.update(nbr for nbr, _ in topology.neighbors(name))
+            unpinned = set(topology.nodes) if frontier == unpinned else frontier
+            rounds += 1
 
 
 @dataclass
@@ -305,45 +310,33 @@ def evacuate_host(
         deployed = ostro.applications[app_name]
         topology, old_placement = deployed.topology, deployed.placement
         ostro.remove(app_name)
-        unpinned: Set[str] = set(victims)
-        rounds = 0
-        result: Optional[PlacementResult] = None
-        while True:
-            pinned = {
-                name: (assignment.host, assignment.disk)
-                for name, assignment in old_placement.assignments.items()
-                if name not in unpinned
-            }
-            try:
-                result, used_algorithm = place_with_degradation(
-                    ostro,
-                    topology,
-                    algorithm=algorithm,
-                    commit=True,
-                    pinned=pinned,
-                    **options,
-                )
-                report.algorithms[app_name] = used_algorithm
-                report.runtime_s += result.runtime_s
-                break
-            except (DeadlineError, PlacementError):
-                if not pinned or rounds >= max_unpin_rounds:
-                    break  # nowhere to go; leave the app removed
-                frontier = _expand_frontier(topology, unpinned)
-                if frontier == unpinned:
-                    unpinned = set(topology.nodes)
-                else:
-                    unpinned = frontier
-                rounds += 1
-        if result is None:
+        placed, _, error = _place_unpinning(
+            topology,
+            old_placement,
+            old_placement.assignments,
+            set(victims),
+            lambda pinned: place_with_degradation(
+                ostro,
+                topology,
+                algorithm=algorithm,
+                commit=True,
+                pinned=pinned,
+                **options,
+            ),
+            (DeadlineError, PlacementError),
+            max_unpin_rounds,
+        )
+        if error is not None:
+            # nowhere to go; leave the app removed
             report.failed.extend(f"{app_name}/{v}" for v in victims)
-        else:
-            report.moved.extend(
-                f"{app_name}/{name}"
-                for name in sorted(topology.nodes)
-                if result.placement.host_of(name)
-                != old_placement.host_of(name)
-            )
+            continue
+        result, report.algorithms[app_name] = placed
+        report.runtime_s += result.runtime_s
+        report.moved.extend(
+            f"{app_name}/{name}"
+            for name in sorted(topology.nodes)
+            if result.placement.host_of(name) != old_placement.host_of(name)
+        )
 
     rec = obs.get_recorder()
     if rec.enabled:
@@ -381,17 +374,15 @@ def tier_members(
     )
 
 
-def _next_extra_index(members: List[str], tier_prefix: str) -> int:
-    """Highest ``<prefix>-extra<N>`` index among members (0 when none)."""
+def _extra_index(name: str, tier_prefix: str) -> Optional[int]:
+    """N of a ``<prefix>-extra<N>`` scale-out member (None otherwise)."""
     extra_prefix = f"{tier_prefix}-extra"
-    highest = 0
-    for name in members:
-        if name.startswith(extra_prefix):
-            try:
-                highest = max(highest, int(name[len(extra_prefix):]))
-            except ValueError:
-                continue
-    return highest
+    if not name.startswith(extra_prefix):
+        return None
+    try:
+        return int(name[len(extra_prefix):])
+    except ValueError:
+        return None
 
 
 def add_vms_to_tier(
@@ -426,7 +417,7 @@ def add_vms_to_tier(
         count = math.ceil(fraction * len(members) - 1e-9)
     if count <= 0:
         return topology
-    start = _next_extra_index(members, tier_prefix)
+    start = max([0] + [_extra_index(name, tier_prefix) or 0 for name in members])
     grown = topology.copy()
     for i in range(count):
         new_name = f"{tier_prefix}-extra{start + i + 1}"
@@ -468,23 +459,13 @@ def _removal_preference(members: List[str], tier_prefix: str) -> Dict[str, int]:
     so absent load information a scale-in exactly unwinds prior
     scale-outs before touching the tier's original population.
     """
-    extra_prefix = f"{tier_prefix}-extra"
-
-    def extra_index(name: str) -> Optional[int]:
-        if not name.startswith(extra_prefix):
-            return None
-        try:
-            return int(name[len(extra_prefix):])
-        except ValueError:
-            return None
-
+    extra = {name: _extra_index(name, tier_prefix) for name in members}
     extras = sorted(
-        (name for name in members if extra_index(name) is not None),
-        key=lambda name: -(extra_index(name) or 0),
+        (name for name in members if extra[name] is not None),
+        key=lambda name: -(extra[name] or 0),
     )
     originals = sorted(
-        (name for name in members if extra_index(name) is None),
-        reverse=True,
+        (name for name in members if extra[name] is None), reverse=True
     )
     return {name: rank for rank, name in enumerate(extras + originals)}
 
@@ -499,21 +480,16 @@ def remove_vms_from_tier(
     min_members: int = 1,
     consolidate: Optional["DefragConfig"] = None,
     defrag_stats: Optional["DefragStats"] = None,
-    step_hook: Optional[Callable[[str, int, "MigrationStep"], None]] = None,
+    step_hook: Optional[StepHook] = None,
 ) -> ScaleInResult:
     """Scale a deployed application's tier *in*, releasing members live.
 
-    The inverse of :func:`add_vms_to_tier`, but operating on a committed
-    deployment: ``ceil(fraction * tier_size)`` members (or exactly
-    ``count``) are selected least-loaded-first and their reservations --
-    incident link bandwidth, then host/disk capacity -- are released
-    under a transactional snapshot, exactly mirroring
-    :meth:`~repro.core.scheduler.Ostro.commit`: the release is gated
-    through the fault injector (service ``"ostro"``, method
-    ``"scale_in"``), retried under the scheduler's
-    :class:`~repro.faults.retry.RetryPolicy` when one is installed, and
-    rolled back bit-exactly on any failure.
-    No search runs: shrinking never needs placement work.
+    The inverse of :func:`add_vms_to_tier` on a committed deployment:
+    ``ceil(fraction * tier_size)`` members (or exactly ``count``) are
+    selected least-loaded-first and their link bandwidth, then host
+    capacity, released in one transaction -- gated (service ``"ostro"``,
+    method ``"scale_in"``), retried and rolled back bit-exactly like
+    :meth:`~repro.core.scheduler.Ostro.commit`. No search runs.
 
     Victim selection is fully deterministic: members sort by
     ``(load, preference)`` where ``loads`` maps member name to its
@@ -521,21 +497,18 @@ def remove_vms_from_tier(
     unwinds prior scale-outs first (see :func:`_removal_preference`).
     At least ``min_members`` members always survive.
 
-    With ``consolidate`` given (and enabled), the survivors are handed
-    to the PR 9 migration engine for a targeted single-application
-    defragmentation pass (:meth:`repro.defrag.planner.DefragPlanner.
-    plan_app` executed by :class:`repro.defrag.executor.DefragExecutor`)
-    -- scale-in is precisely the moment an application's placement has
-    just become sparser than it needs to be. A fault mid-consolidation
-    aborts that pass transactionally; the shrink itself is already
-    durable at that point.
+    With ``consolidate`` given (and enabled), the survivors get a
+    single-application defragmentation pass
+    (:meth:`repro.defrag.planner.DefragPlanner.plan_app`, executed by
+    :class:`repro.defrag.executor.DefragExecutor`): scale-in is when a
+    placement has just become sparser than it needs to be. A fault
+    mid-consolidation aborts that pass; the shrink itself stands.
 
     Returns a :class:`ScaleInResult`; a resolved delta of zero returns
     immediately with no state mutation, no injector gate, and no events.
     """
     deployed = ostro.deployed(app_name)
-    topology = deployed.topology
-    placement = deployed.placement
+    topology, placement = deployed.topology, deployed.placement
     members = tier_members(topology, tier_prefix)
     if not members:
         raise PlacementError(
@@ -603,9 +576,6 @@ def remove_vms_from_tier(
     vacated = len(
         {a.host for a in placement.assignments.values()} - kept_hosts
     )
-    from repro.core.placement import Placement
-    from repro.core.scheduler import DeployedApplication
-
     ostro.applications[app_name] = DeployedApplication(
         topology=shrunk,
         placement=Placement(

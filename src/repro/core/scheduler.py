@@ -255,28 +255,35 @@ class Ostro:
                 )
                 self.state.reserve_path(path, link.bw_mbps)
 
+    def release(
+        self,
+        topology: ApplicationTopology,
+        placement: Placement,
+        state: DataCenterState,
+    ) -> None:
+        """Release a placement's reservations from ``state`` (the live
+        state or a scratch clone): the exact inverse of :meth:`commit`."""
+        for link in topology.links:
+            path = self.resolver.path(
+                placement.host_of(link.a), placement.host_of(link.b)
+            )
+            state.release_path(path, link.bw_mbps)
+        for name in sorted(topology.nodes):
+            node = topology.node(name)
+            assignment = placement.assignments[name]
+            if node.is_vm:
+                state.unplace_vm(
+                    assignment.host, state.reserved_vcpus(node), node.mem_gb
+                )
+            else:
+                state.unplace_volume(assignment.disk, node.size_gb)
+
     def remove(self, app_name: str) -> None:
         """Release every reservation of a committed application."""
         deployed = self.applications.pop(app_name, None)
         if deployed is None:
             raise PlacementError(f"unknown application: {app_name!r}")
-        topology, placement = deployed.topology, deployed.placement
-        for link in topology.links:
-            path = self.resolver.path(
-                placement.host_of(link.a), placement.host_of(link.b)
-            )
-            self.state.release_path(path, link.bw_mbps)
-        for name in sorted(topology.nodes):
-            node = topology.node(name)
-            assignment = placement.assignments[name]
-            if node.is_vm:
-                self.state.unplace_vm(
-                    assignment.host,
-                    self.state.reserved_vcpus(node),
-                    node.mem_gb,
-                )
-            else:
-                self.state.unplace_volume(assignment.disk, node.size_gb)
+        self.release(deployed.topology, deployed.placement, self.state)
         rec = obs.get_recorder()
         if rec.enabled:
             rec.inc("ostro_removes_total")
@@ -335,86 +342,51 @@ class Ostro:
     ) -> Tuple[PlacementResult, "MigrationPlan"]:
         """Re-place a deployed application from scratch and migrate to it.
 
-        The paper's runtime-adaptation scenario (Section I): conditions
-        changed since deployment, so compute a fresh holistic placement
-        with full freedom, derive a safe move-by-move migration plan from
-        the current one (see :mod:`repro.core.migration`), execute it, and
-        record the new placement. When the fresh placement is no better
-        than the current one, nothing moves.
+        The paper's runtime-adaptation scenario (Section I): search a
+        fresh placement with full freedom, read-only
+        (:func:`~repro.core.migration.replan`), and adopt it only when it
+        is strictly better than keeping the current one. Adopting plans
+        safe moves and runs them through the gated executor
+        :func:`~repro.core.migration.apply_plan`, which records the new
+        placement.
 
         Returns:
-            (result, plan): the new :class:`PlacementResult` and the
+            (result, plan): the fresh :class:`PlacementResult` and the
             executed :class:`~repro.core.migration.MigrationPlan` (empty
-            when no move was needed).
+            when the current placement was kept).
+
+        Raises:
+            MigrationAborted: a step was rolled back or hit a crashed
+                host; the executed prefix stands and is recorded.
         """
-        from repro.core.migration import apply_plan, plan_migration
+        from repro.core import migration
 
         deployed = self.deployed(app_name)
-        topology, old_placement = deployed.topology, deployed.placement
-        # Search on a hypothetical state without this app's reservations.
-        self.remove(app_name)
-        try:
-            result = self.place(
-                topology, algorithm=algorithm, commit=False, **options
-            )
-            objective = Objective.for_topology(
-                topology, self.cloud, self.theta_bw, self.theta_c
-            )
-            current_value = self._placement_value(
-                topology, old_placement, objective
-            )
-            rec = obs.get_recorder()
-            if result.objective_value >= current_value - 1e-12:
-                # not an improvement: keep everything where it is
-                self.commit(topology, old_placement)
-                from repro.core.migration import MigrationPlan
-
-                if rec.enabled:
-                    rec.inc("ostro_reoptimizations_total", outcome="kept")
-                    rec.event(
-                        "reoptimize", app=app_name, improved=False,
-                        moves=0, bounces=0,
-                    )
-                return result, MigrationPlan()
-            # plan against the live state *with* the old placement present
-            self.commit(topology, old_placement)
+        old = deployed.placement
+        result, keep, _ = migration.replan(self, app_name, algorithm, **options)
+        improved = result.objective_value < keep - 1e-12
+        plan = migration.MigrationPlan()
+        rec = obs.get_recorder()
+        if improved:
             with rec.span("ostro.migrate", app=app_name):
-                plan = plan_migration(
-                    topology,
+                plan = migration.plan_migration(
+                    deployed.topology,
                     self.state,
-                    old_placement,
+                    old,
                     result.placement,
                     max_bounces=max_bounces,
                 )
-                apply_plan(topology, self.state, old_placement, plan)
-            self.applications[app_name] = DeployedApplication(
-                topology=topology, placement=result.placement
+                migration.apply_plan(self, app_name, old, result.placement, plan)
+        if rec.enabled:
+            rec.inc(
+                "ostro_reoptimizations_total",
+                outcome="improved" if improved else "kept",
             )
-            if rec.enabled:
-                rec.inc("ostro_reoptimizations_total", outcome="improved")
-                rec.event(
-                    "reoptimize", app=app_name, improved=True,
-                    moves=len(plan.moves), bounces=len(plan.bounces),
-                )
-            return result, plan
-        except ReproError:
-            if app_name not in self.applications:
-                self.commit(topology, old_placement)
-            raise
-
-    def _placement_value(
-        self,
-        topology: ApplicationTopology,
-        placement: Placement,
-        objective: Objective,
-    ) -> float:
-        """Objective value of an existing placement (u_bw recomputed; the
-        committed hosts count as already active, so u_c is 0 here --
-        matching how a fresh search would score keeping everything put)."""
-        ubw = 0.0
-        for link in topology.links:
-            path = self.resolver.path(
-                placement.host_of(link.a), placement.host_of(link.b)
+            rec.event(
+                "reoptimize",
+                app=app_name,
+                improved=improved,
+                moves=len(plan.moves),
+                bounces=len(plan.bounces),
             )
-            ubw += link.bw_mbps * len(path)
-        return objective.score(ubw, 0)
+        return result, plan

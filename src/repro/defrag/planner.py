@@ -10,14 +10,13 @@ loop's planning half. Each *pass* it
    and only proceeds past the configured threshold;
 2. ranks committed applications by dispersion (most-scattered first,
    name-ordered ties -- fully deterministic);
-3. re-places each candidate from scratch on a **cloned** state with the
-   candidate's reservations released (planning makes no surrogate API
-   calls and never touches the live state);
-4. derives a feasibility-checked :class:`~repro.core.migration.MigrationPlan`
-   and charges the migration itself into the decision: a candidate is
-   accepted only when ``objective gain - move_cost_weight * GB moved``
-   clears the configured margin *and* its steps fit the remaining
-   per-pass move budget.
+3. searches each candidate again with
+   :func:`~repro.core.migration.replan` (read-only, on a released clone,
+   valued against keeping it put);
+4. accepts it only when the fresh placement does not spread wider
+   (consolidation guard), ``gain - move_cost_weight * GB moved`` of its
+   :class:`~repro.core.migration.MigrationPlan` clears the margin, and
+   its steps fit the remaining per-pass move budget.
 
 The pass is deadlined through DBA*'s own machinery: with
 ``algorithm="dba*"`` each candidate search consumes the pass's remaining
@@ -31,13 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.core.migration import MigrationPlan, plan_migration
-from repro.core.objective import Objective
+from repro.core.migration import MigrationPlan, plan_migration, replan, step_gb
 from repro.core.placement import Placement
-from repro.core.scheduler import make_algorithm
 from repro.core.topology import ApplicationTopology
-from repro.datacenter.network import PathResolver
-from repro.datacenter.state import DataCenterState
 from repro.errors import DeadlineError, PlacementError
 from repro.sim.utilization import fragmentation_report, placement_spread
 
@@ -126,65 +121,11 @@ class DefragPassPlan:
         return sum(len(m.plan.steps) for m in self.migrations)
 
 
-def _release_placement(
-    state: DataCenterState,
-    resolver: PathResolver,
-    topology: ApplicationTopology,
-    placement: Placement,
-) -> None:
-    """Release one application's reservations on a scratch state (the
-    exact inverse of :meth:`repro.core.scheduler.Ostro.commit`)."""
-    for link in topology.links:
-        path = resolver.path(
-            placement.host_of(link.a), placement.host_of(link.b)
-        )
-        state.release_path(path, link.bw_mbps)
-    for name in sorted(topology.nodes):
-        node = topology.node(name)
-        assignment = placement.assignments[name]
-        if node.is_vm:
-            state.unplace_vm(
-                assignment.host, state.reserved_vcpus(node), node.mem_gb
-            )
-        else:
-            state.unplace_volume(assignment.disk, node.size_gb)
-
-
-def _placement_value(
-    ostro: "Ostro",
-    topology: ApplicationTopology,
-    placement: Placement,
-    objective: Objective,
-    scratch: DataCenterState,
-) -> float:
-    """Objective value of keeping an existing placement put.
-
-    Scored against ``scratch`` -- the cloned state with this
-    application's reservations released -- which is exactly the
-    reference the fresh search scores its candidate against: u_bw from
-    the resolver's current paths, u_c counting the placement's hosts
-    that are idle on ``scratch`` (hosts only this application keeps
-    active). Using the same reference on both sides makes keep-vs-move a
-    like-for-like comparison; in particular, re-deriving the identical
-    placement yields a gain of exactly zero.
-    """
-    ubw = 0.0
-    for link in topology.links:
-        path = ostro.resolver.path(
-            placement.host_of(link.a), placement.host_of(link.b)
-        )
-        ubw += link.bw_mbps * len(path)
-    hosts = {a.host for a in placement.assignments.values()}
-    activated = sum(1 for host in hosts if not scratch.host_is_active(host))
-    return objective.score(ubw, activated)
-
-
-def _plan_moved_gb(topology: ApplicationTopology, plan: MigrationPlan) -> float:
-    total = 0.0
-    for step in plan.steps:
-        record = topology.node(step.node)
-        total += record.mem_gb if record.is_vm else record.size_gb
-    return total
+def _movable(ostro: "Ostro", placement: Placement) -> bool:
+    """A non-empty placement with no node on a down host."""
+    return bool(placement.assignments) and not any(
+        ostro.state.host_is_down(a.host) for a in placement.assignments.values()
+    )
 
 
 class DefragPlanner:
@@ -223,16 +164,9 @@ class DefragPlanner:
         ranked: List[Tuple[float, str]] = []
         for app_name in sorted(ostro.applications):
             placement = ostro.applications[app_name].placement
-            assignments = placement.assignments
-            if not assignments:
-                continue
-            if any(
-                ostro.state.host_is_down(a.host)
-                for a in assignments.values()
-            ):
-                continue
-            spread = placement_spread(ostro.cloud, placement)
-            ranked.append((spread, app_name))
+            if _movable(ostro, placement):
+                spread = placement_spread(ostro.cloud, placement)
+                ranked.append((spread, app_name))
         ranked.sort(key=lambda item: (-item[0], item[1]))
         return ranked
 
@@ -278,12 +212,7 @@ class DefragPlanner:
             fragmentation_before=self.fragmentation(ostro)
         )
         deployed = ostro.applications.get(app_name)
-        if deployed is None or not deployed.placement.assignments:
-            return pass_plan
-        if any(
-            ostro.state.host_is_down(a.host)
-            for a in deployed.placement.assignments.values()
-        ):
+        if deployed is None or not _movable(ostro, deployed.placement):
             return pass_plan
         self._consider(
             ostro,
@@ -307,24 +236,15 @@ class DefragPlanner:
         cfg = self.config
         deployed = ostro.deployed(app_name)
         topology, old = deployed.topology, deployed.placement
-        scratch = ostro.state.clone()
-        _release_placement(scratch, ostro.resolver, topology, old)
-        objective = Objective.for_topology(
-            topology, ostro.cloud, ostro.theta_bw, ostro.theta_c
-        )
         try:
             # construction validates the deadline too: an exhausted
             # (or zero) budget aborts the pass, never the fleet
-            algo = make_algorithm(
+            result, keep, _ = replan(
+                ostro,
+                app_name,
                 cfg.algorithm,
-                greedy_config=ostro.greedy_config,
-                **(
-                    {"deadline_s": deadline_left}
-                    if deadline_left is not None
-                    else {}
-                ),
+                **({} if deadline_left is None else {"deadline_s": deadline_left}),
             )
-            result = algo.place(topology, ostro.cloud, scratch, objective)
         except DeadlineError:
             pass_plan.aborted = True
             return budget, deadline_left
@@ -334,10 +254,7 @@ class DefragPlanner:
             deadline_left -= result.runtime_s
             if deadline_left <= 0:
                 pass_plan.aborted = True
-        current_value = _placement_value(
-            ostro, topology, old, objective, scratch
-        )
-        gain = current_value - result.objective_value
+        gain = keep - result.objective_value
         # This is a DEfragmenter: only consolidating moves qualify.
         # A pure-bandwidth win that spreads the application wider
         # (more hosts, or the same hosts across more racks) would
@@ -358,7 +275,7 @@ class DefragPlanner:
             )
         except PlacementError:
             return budget, deadline_left
-        moved_gb = _plan_moved_gb(topology, plan)
+        moved_gb = sum(step_gb(topology, step) for step in plan.steps)
         move_cost = cfg.move_cost_weight * moved_gb
         if (
             len(plan.steps) == 0

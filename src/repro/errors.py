@@ -44,6 +44,17 @@ class PlacementError(ReproError):
         self.node_name = node_name
 
 
+class MigrationAborted(PlacementError):
+    """A migration plan stopped part-way (stale plan, crashed endpoint, or
+    a step that failed and was rolled back); the executed prefix stands
+    and is recorded as the application's placement."""
+
+    def __init__(self, message: str, executed: int = 0):
+        super().__init__(message)
+        #: Steps of the plan that landed before the abort.
+        self.executed = executed
+
+
 class SchedulerError(ReproError):
     """An OpenStack-surrogate scheduler (Nova/Cinder) could not satisfy a
     request."""

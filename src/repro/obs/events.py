@@ -82,7 +82,9 @@ EVENT_SCHEMA: Dict[str, frozenset] = {
     "shard_routed": frozenset({"app", "shard", "load"}),
     "escalated": frozenset({"app", "reason"}),
     # runtime adaptation / migration
-    "migration_step": frozenset({"node", "to_host", "bounce", "moved_gb"}),
+    "migration_step": frozenset(
+        {"app", "node", "to_host", "bounce", "moved_gb"}
+    ),
     # autoscaling lifecycle (repro.scaling)
     "scale_out": frozenset({"app", "added"}),
     "scale_in": frozenset({"app", "tier", "removed", "remaining"}),

@@ -145,7 +145,8 @@ METRIC_CATALOG: Dict[str, Tuple[str, str, Tuple[str, ...]]] = {
     ),
     "ostro_migration_steps_total": (
         "counter",
-        "Executed migration moves, by kind (move / bounce).",
+        "Executed migration steps (reoptimize, defrag and consolidation), "
+        "by kind (move / bounce).",
         ("kind",),
     ),
     "ostro_migration_moved_gb_total": (
@@ -159,20 +160,9 @@ METRIC_CATALOG: Dict[str, Tuple[str, str, Tuple[str, ...]]] = {
         "(completed / aborted).",
         ("outcome",),
     ),
-    "ostro_defrag_moves_total": (
-        "counter",
-        "Migration steps executed by defrag passes, by kind "
-        "(move / bounce).",
-        ("kind",),
-    ),
-    "ostro_defrag_moved_gb_total": (
-        "counter",
-        "Gigabytes relocated by background defragmentation.",
-        (),
-    ),
     "ostro_defrag_rollbacks_total": (
         "counter",
-        "Defrag migration steps rolled back after a fault mid-step.",
+        "Migration steps rolled back after a fault mid-step.",
         (),
     ),
     "ostro_defrag_replans_total": (

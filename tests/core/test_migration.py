@@ -8,7 +8,7 @@ from repro.core.migration import MigrationStep, apply_plan, plan_migration
 from repro.core.placement import Assignment, Placement
 from repro.core.scheduler import Ostro
 from repro.core.topology import ApplicationTopology
-from repro.errors import PlacementError
+from repro.errors import MigrationAborted, PlacementError
 
 
 def placement_for(topology, mapping, cloud):
@@ -25,11 +25,17 @@ def placement_for(topology, mapping, cloud):
     )
 
 
-def committed(topology, mapping, cloud):
-    """A live state with `mapping` committed."""
+def deployed(topology, mapping, cloud):
+    """A scheduler with `mapping` committed, and that placement."""
     ostro = Ostro(cloud)
     placement = placement_for(topology, mapping, cloud)
     ostro.commit(topology, placement)
+    return ostro, placement
+
+
+def committed(topology, mapping, cloud):
+    """A live state with `mapping` committed."""
+    ostro, placement = deployed(topology, mapping, cloud)
     return ostro.state, placement
 
 
@@ -129,27 +135,28 @@ class TestBandwidthDuringMigration:
             t.add_vm("a", 2, 2)
             t.add_vm("b", 2, 2)
             t.connect("a", "b", 800)
-            state, old = committed(
+            ostro, old = deployed(
                 t, {"a": (0, None), "b": (0, None)}, small_dc
             )
             nic4 = small_dc.hosts[4].link_index
-            state.reserve_path(
+            ostro.state.reserve_path(
                 (nic4,), small_dc.link_capacity_mbps[nic4] - free_mbps
             )
             new = placement_for(
                 t, {"a": (4, None), "b": (4, None)}, small_dc
             )
-            return t, state, old, new
+            return t, ostro, old, new
 
         # 900 Mbps free: the 800 Mbps flow fits during the split phase
-        t, state, old, new = scenario(900)
-        plan = plan_migration(t, state, old, new)
-        apply_plan(t, state.clone(), old, plan)
+        t, ostro, old, new = scenario(900)
+        plan = plan_migration(t, ostro.state, old, new)
+        apply_plan(ostro, "m", old, new, plan)
+        assert ostro.deployed("m").placement is new
         # 500 Mbps free: provably stuck -- whoever moves first needs 800
         # through the drained NIC while the partner is elsewhere
-        t, state, old, new = scenario(500)
+        t, ostro, old, new = scenario(500)
         with pytest.raises(PlacementError, match="blocked"):
-            plan_migration(t, state, old, new)
+            plan_migration(t, ostro.state, old, new)
 
     def test_infeasible_target_rejected(self, small_dc):
         t = ApplicationTopology("m")
@@ -165,22 +172,56 @@ class TestApplyPlan:
     def test_apply_moves_live_state(self, small_dc):
         t = ApplicationTopology("m")
         t.add_vm("a", 4, 4)
-        state, old = committed(t, {"a": (0, None)}, small_dc)
+        ostro, old = deployed(t, {"a": (0, None)}, small_dc)
         new = placement_for(t, {"a": (7, None)}, small_dc)
-        plan = plan_migration(t, state, old, new)
-        apply_plan(t, state, old, plan)
-        assert state.free_cpu[0] == 16
-        assert state.free_cpu[7] == 12
+        plan = plan_migration(t, ostro.state, old, new)
+        apply_plan(ostro, "m", old, new, plan)
+        assert ostro.state.free_cpu[0] == 16
+        assert ostro.state.free_cpu[7] == 12
+        assert ostro.deployed("m").placement is new
+        assert ostro.verify_state() == []
 
     def test_stale_plan_detected(self, small_dc):
         t = ApplicationTopology("m")
         t.add_vm("a", 4, 4)
-        state, old = committed(t, {"a": (0, None)}, small_dc)
+        ostro, old = deployed(t, {"a": (0, None)}, small_dc)
         new = placement_for(t, {"a": (7, None)}, small_dc)
-        plan = plan_migration(t, state, old, new)
-        state.place_vm(7, 14, 1)  # someone took the target meanwhile
-        with pytest.raises(PlacementError, match="no longer fits"):
-            apply_plan(t, state, old, plan)
+        plan = plan_migration(t, ostro.state, old, new)
+        ostro.state.place_vm(7, 14, 1)  # someone took the target meanwhile
+        before = ostro.state.snapshot()
+        with pytest.raises(MigrationAborted, match="no longer fits") as info:
+            apply_plan(ostro, "m", old, new, plan)
+        assert info.value.executed == 0
+        assert ostro.state.snapshot() == before
+        assert ostro.deployed("m").placement.host_of("a") == 0
+
+    def test_moved_app_is_a_stale_plan(self, small_dc):
+        t = ApplicationTopology("m")
+        t.add_vm("a", 4, 4)
+        ostro, old = deployed(t, {"a": (0, None)}, small_dc)
+        new = placement_for(t, {"a": (7, None)}, small_dc)
+        plan = plan_migration(t, ostro.state, old, new)
+        elsewhere = placement_for(t, {"a": (3, None)}, small_dc)
+        with pytest.raises(MigrationAborted, match="stale plan"):
+            apply_plan(ostro, "m", elsewhere, new, plan)
+
+    def test_removing_after_the_move_restores_the_pristine_state(
+        self, small_dc
+    ):
+        t = ApplicationTopology("m")
+        t.add_vm("a", 10, 4)
+        t.add_vm("b", 10, 4)
+        t.connect("a", "b", 300)
+        ostro = Ostro(small_dc)
+        pristine = ostro.state.snapshot()
+        old = placement_for(t, {"a": (0, None), "b": (1, None)}, small_dc)
+        ostro.commit(t, old)
+        new = placement_for(t, {"a": (1, None), "b": (0, None)}, small_dc)
+        plan = plan_migration(t, ostro.state, old, new)
+        assert plan.bounces  # the swap parks one VM on the way
+        apply_plan(ostro, "m", old, new, plan)
+        ostro.remove("m")
+        assert ostro.state.snapshot() == pristine
 
     def test_incomplete_new_placement_rejected(self, small_dc):
         t = ApplicationTopology("m")

@@ -32,8 +32,8 @@ class TestMigrationProperties:
         self, topo, seed, algo_pair
     ):
         """Any two algorithms' placements of the same app are connected by
-        an executable plan, and executing it yields a state from which the
-        app can be cleanly removed."""
+        an executable plan, executing it records the new placement, and the
+        app can then be cleanly removed."""
         algorithms = [EG(), EGC(), EGBW()]
         cloud = build_datacenter(num_racks=3, hosts_per_rack=3)
         base = DataCenterState(cloud)
@@ -50,11 +50,15 @@ class TestMigrationProperties:
             )
         except PlacementError:
             return  # no safe one-at-a-time sequence exists: acceptable
-        apply_plan(topo, ostro.state, old.placement, plan)
+        apply_plan(ostro, topo.name, old.placement, new.placement, plan)
+        assert ostro.deployed(topo.name).placement is new.placement
         # the final state equals "new placement committed on fresh state"
         reference = Ostro(cloud)
         reference.commit(topo, new.placement)
         assert ostro.state.snapshot() == reference.state.snapshot()
+        # and removing the app restores the pristine state
+        ostro.remove(topo.name)
+        assert ostro.state.snapshot() == base.snapshot()
         # and the new placement validates against a pristine base
         assert (
             placement_violations(topo, cloud, DataCenterState(cloud), new.placement)

@@ -4,10 +4,34 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.migration import replan
+from repro.core.placement import Assignment, Placement
 from repro.core.scheduler import Ostro
 from repro.core.topology import ApplicationTopology
+from repro.core.validate import placement_violations
+from repro.datacenter.builder import build_datacenter
 from repro.errors import PlacementError
 from tests.conftest import make_three_tier
+
+
+def spread_chain():
+    """Three 6-vCPU VMs chained a-b-c, committed one per host on hosts
+    0, 1 and 2 of a two-rack data center."""
+    ostro = Ostro(build_datacenter(num_racks=2))
+    topo = ApplicationTopology("tri")
+    for name in "abc":
+        topo.add_vm(name, 6, 6)
+    topo.connect("a", "b", 100)
+    topo.connect("b", "c", 100)
+    spread = Placement(
+        app_name="tri",
+        assignments={n: Assignment(n, h) for h, n in enumerate("abc")},
+        reserved_bw_mbps=0,
+        new_active_hosts=3,
+        hosts_used=3,
+    )
+    ostro.commit(topo, spread)
+    return ostro, topo
 
 
 def chatty_pair():
@@ -98,3 +122,42 @@ class TestReoptimize:
                     assert small_dc.separated_at(
                         deployed.host_of(m1), deployed.host_of(m2), zone.level
                     )
+
+
+class TestKeepValue:
+    """Keeping and moving are valued against the same released state."""
+
+    def test_strictly_better_fresh_placement_is_adopted(self):
+        """Keeping the spread chain is worth 0.70 like-for-like (three
+        hosts only it keeps active); the fresh placement scores 0.4167.
+        Valuing the kept hosts as already active (u_c = 0, i.e. 0.30)
+        refused the move and reported 0 moves."""
+        ostro, _ = spread_chain()
+        result, plan = ostro.reoptimize("tri", algorithm="eg")
+        assert result.objective_value == pytest.approx(5 / 12)
+        assert len(plan.steps) > 0
+        deployed = ostro.deployed("tri").placement
+        assert deployed.assignments == result.placement.assignments
+        assert len({a.host for a in deployed.assignments.values()}) < 3
+        assert ostro.verify_state() == []
+
+    def test_no_op_update_reports_the_replan_keep_value(self):
+        ostro, topo = spread_chain()
+        _, keep, _ = replan(ostro, "tri", "eg")
+        assert keep == pytest.approx(0.70)
+        outcome = ostro.update(topo.copy(), algorithm="eg")
+        assert outcome.result.objective_value == keep
+
+    def test_replan_is_read_only(self):
+        ostro, topo = spread_chain()
+        before = ostro.state.snapshot()
+        result, _, released = replan(ostro, "tri", "eg")
+        assert ostro.state.snapshot() == before
+        # the clone has the app released: the fresh placement fits there
+        assert released.snapshot() != before
+        assert (
+            placement_violations(
+                topo, ostro.cloud, released, result.placement
+            )
+            == []
+        )

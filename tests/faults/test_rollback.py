@@ -14,10 +14,11 @@ Two families share the table:
 * **whole-operation** rollbacks (``deploy``, ``delete_stack``,
   ``update_stack``, ``commit``, ``scale_in``): the fault propagates and
   the operation leaves no trace;
-* **step** rollbacks (``defrag``, ``consolidate``): the in-flight
-  migration step is undone, the pass aborts without raising, and the
-  executed prefix stands (``defrag_step_rolled_back`` instead of
-  ``rollback``).
+* **step** rollbacks (``defrag``, ``consolidate``, ``reoptimize``): the
+  in-flight migration step is undone, the migration stops there, and the
+  executed prefix stands and is recorded (``defrag_step_rolled_back``
+  instead of ``rollback``). A pass aborts without raising; ``reoptimize``
+  raises :class:`~repro.errors.MigrationAborted`.
 
 A third sweep wedges a state mutation with a non-library error
 (``RuntimeError``) mid-operation: the same bit-exact restore, and no
@@ -32,6 +33,7 @@ from typing import Any, Callable, Optional
 import pytest
 
 from repro import obs
+from repro.core.migration import plan_migration, replan
 from repro.core.online import remove_vms_from_tier, tier_members
 from repro.core.scheduler import Ostro
 from repro.core.validate import conservation_violations
@@ -43,7 +45,12 @@ from repro.defrag import (
     DefragPlanner,
     DefragStats,
 )
-from repro.errors import PermanentAPIError, RetryError, TransientAPIError
+from repro.errors import (
+    MigrationAborted,
+    PermanentAPIError,
+    RetryError,
+    TransientAPIError,
+)
 from repro.faults import RetryPolicy
 from repro.heat.engine import HeatEngine
 from repro.heat.template import template_from_topology
@@ -58,6 +65,8 @@ N_DEFRAG_STEPS = 10
 #: fragmented elastic fixture, count=3: gate 1 is the shrink's release,
 #: gates 2..7 are the consolidation pass's six migration steps
 N_CONSOLIDATION_STEPS = 6
+#: reoptimizing the fragmented fixture with EG also moves all 10 VMs
+N_REOPTIMIZE_STEPS = 10
 
 DEFRAG = DefragConfig(algorithm="eg", max_moves_per_pass=16)
 FLEET = "web-fleet"
@@ -182,6 +191,46 @@ def stage_defrag() -> Staged:
     return _ostro(ostro, run)
 
 
+class _HookedGate:
+    """Injector wrapper that calls the step hook at every migrate gate --
+    ``reoptimize`` has no hook of its own, and each of its steps passes
+    the gate exactly once (no retry policy) before touching capacity."""
+
+    def __init__(self, inner, hook):
+        self.inner, self.hook, self.steps = inner, hook, 0
+
+    def before_api_call(self, service, method):
+        if self.hook is not None and (service, method) == ("defrag", "migrate"):
+            self.hook("app0", self.steps, None)
+            self.steps += 1
+        if self.inner is not None:
+            self.inner.before_api_call(service, method)
+
+
+def stage_reoptimize() -> Staged:
+    """Reoptimize the fragmented application through the gated executor;
+    returns the abort with the starting placement and the planned steps."""
+    ostro = make_fragmented_ostro()
+
+    def run(hook):
+        deployed = ostro.deployed("app0")
+        start = dict(deployed.placement.assignments)
+        result, _, _ = replan(ostro, "app0", "eg")
+        steps = plan_migration(
+            deployed.topology, ostro.state, deployed.placement, result.placement
+        ).steps
+        assert len(steps) == N_REOPTIMIZE_STEPS
+        ostro.injector = _HookedGate(ostro.injector, hook)
+        try:
+            return ostro.reoptimize("app0", algorithm="eg"), start, steps
+        except MigrationAborted as aborted:
+            return aborted, start, steps
+        finally:
+            ostro.injector = ostro.injector.inner
+
+    return _ostro(ostro, run)
+
+
 #: whole-operation rollbacks: op -> (stage, gates swept, rollbacks
 #: reported per failed attempt). ``update_stack`` nests: the inner
 #: ``delete_stack`` (gates 1-8) or ``deploy`` (gates 9-17, the grown
@@ -203,6 +252,7 @@ STEP_OPS = {
         range(2, 2 + N_CONSOLIDATION_STEPS),
         2,
     ),
+    "reoptimize": (stage_reoptimize, range(1, N_REOPTIMIZE_STEPS + 1), 1),
 }
 
 
@@ -263,6 +313,17 @@ class TestEveryGate:
             completed, stats = outcome
             assert not completed
             assert stats.moves + stats.bounces == failed_step
+        elif op == "reoptimize":
+            aborted, start, steps = outcome
+            assert isinstance(aborted, MigrationAborted)
+            assert aborted.executed == failed_step
+            expected = {n: (a.host, a.disk) for n, a in start.items()}
+            for step in steps[:failed_step]:
+                expected[step.node] = (step.to_host, step.to_disk)
+            recorded = staged.ostro.deployed("app0").placement.assignments
+            assert {
+                n: (a.host, a.disk) for n, a in recorded.items()
+            } == expected
         else:
             # the shrink is durable; only the consolidation pass aborted
             assert outcome.removed == ["vm-extra4", "vm-extra3", "vm-extra2"]

@@ -104,6 +104,34 @@ class TestEndToEnd:
         assert "candidates scored" in summary
         assert "eg.place" in summary  # the trace tree survived
 
+    def test_summary_reports_background_migrations(self):
+        """Defrag moves run through the one plan executor, so they count
+        under ostro_migration_* and reach the summary's migration line."""
+        from repro.defrag import (
+            DefragConfig,
+            DefragExecutor,
+            DefragPlanner,
+            DefragStats,
+            run_defrag_tick,
+        )
+        from tests.defrag.conftest import make_fragmented_ostro
+
+        ostro = make_fragmented_ostro()
+        cfg = DefragConfig(algorithm="eg", max_moves_per_pass=16)
+        stats = DefragStats()
+        rec = obs.TelemetryRecorder()
+        with obs.use(rec):
+            run_defrag_tick(
+                ostro, DefragPlanner(cfg), DefragExecutor(ostro, cfg), stats
+            )
+        steps = stats.moves + stats.bounces
+        assert steps > 0
+        assert rec.events.count("migration_step") == steps
+        assert (
+            f"migration: {steps} steps, {stats.moved_gb:.0f} GB moved"
+            in rec.summary()
+        )
+
     def test_dba_star_run_records_search_events(self, small_dc, three_tier):
         rec = obs.TelemetryRecorder()
         with obs.use(rec):
