@@ -9,8 +9,9 @@ The search algorithms spend almost all of their time in three loops:
   running the :class:`~repro.core.heuristic.LowerBoundEstimator` over the
   remaining nodes, and undoing the assignment.
 
-This module re-expresses all three as array kernels: per-cloud static
-matrices (:class:`CloudArrays`), a zero-copy view of the mutable
+This module re-expresses all three as array kernels: a zero-copy view
+of the cloud's level table with per-host rows built on demand from its
+unit ranges (:class:`CloudArrays`), a zero-copy view of the mutable
 availability state (:class:`StateView`), and a batch scorer that
 evaluates a node's whole candidate set in one shot -- the estimator runs
 once over ``(candidates x targets)`` matrices instead of once per
@@ -164,6 +165,13 @@ def quantize(value: float) -> int:
 #: (shorter uplink chains); far outside any quantized resource value.
 _SIG_PAD = -(2**50)
 
+#: rows :class:`CloudArrays` keeps per cloud, oldest evicted first. The
+#: ledger laps ask for rows of a handful of hosts tens of thousands of
+#: times (lifecycle-chaos: 61 k requests from 9 hosts; at most 12
+#: distinct hosts in any place-scale or place-deep op), and a row built
+#: from the ranges costs 5-10 us against 0.1 us for a hit.
+_ROW_MEMO_CAP = 16
+
 
 # ----------------------------------------------------------------------
 # per-cloud static arrays
@@ -171,18 +179,25 @@ _SIG_PAD = -(2**50)
 
 
 class CloudArrays:
-    """Immutable arrays describing one cloud's structure.
+    """Read-only NumPy views of one cloud's level table, plus O(H) tables.
 
-    Cached per :class:`~repro.datacenter.model.Cloud` (weakly). Provides
-    the vectorized twins of ``distance`` / ``separated_at`` /
-    ``hop_count`` / ``uplink_chain``:
+    Cached per :class:`~repro.datacenter.model.Cloud` (weakly).
+    ``unit_ids``, ``uplinks`` and ``unit_starts`` are ``np.frombuffer``
+    views of the cloud's columns of the same names: they hold those
+    buffers, never the cloud. Derived from them once:
 
-    * ``unit_ids(level)`` -- per-host unit id at a separation level; two
-      hosts are separated at ``level`` iff their ids differ.
-    * ``steps_at_dist[h, d]`` -- one-sided link count for host ``h`` to
+    * ``flat_unit_ids[level, h]`` -- host ``h``'s unit at ``level`` with
+      the units of all levels numbered ``0 .. num_units - 1``;
+    * ``chain_matrix[h, k]`` -- host ``h``'s ``k``-th uplink from the NIC
+      up (-1 past the end of its chain, whose length is ``chain_len[h]``);
+    * ``steps_by_dist[d, h]`` -- one-sided link count for host ``h`` to
       reach a switch whose scope covers separation distance ``d``, so
-      ``hop_count(a, b) == steps_at_dist[a, d] + steps_at_dist[b, d]``
+      ``hop_count(a, b) == steps_by_dist[d, a] + steps_by_dist[d, b]``
       with ``d = distance(a, b)``.
+
+    Per-host rows are built on demand from the host's unit ranges, a
+    few slice fills each; the last ``_ROW_MEMO_CAP`` are kept, so memory
+    stays O(H).
     """
 
     _CACHE: "WeakKeyDictionary[Cloud, CloudArrays]" = WeakKeyDictionary()
@@ -191,152 +206,82 @@ class CloudArrays:
     def for_cloud(cls, cloud: Cloud) -> "CloudArrays":
         arrays = cls._CACHE.get(cloud)
         if arrays is None:
-            arrays = cls(cloud)
-            cls._CACHE[cloud] = arrays
+            arrays = cls._CACHE[cloud] = cls(cloud)
         return arrays
 
     def __init__(self, cloud: Cloud) -> None:
-        self.cloud = cloud
-        num_hosts = len(cloud.hosts)
-        ancestors = cloud._ancestors
-        rack_id = np.array([a[0] for a in ancestors], dtype=np.int64)
-        # implicit-pod keys are tuples; map them to dense ints (equal
-        # tuples <=> equal ints, which is all separated_at needs)
-        pod_key_ids: Dict[Any, int] = {}
-        pod_id = np.empty(num_hosts, dtype=np.int64)
-        for h, (_rack, pod_key, _dc) in enumerate(ancestors):
-            pod_id[h] = pod_key_ids.setdefault(pod_key, len(pod_key_ids))
-        dc_id = np.array([a[2] for a in ancestors], dtype=np.int64)
-        #: per-level unit ids: HOST, RACK, POD, DATACENTER
-        self.unit_id_arrays = (
-            np.arange(num_hosts, dtype=np.int64),
-            rack_id,
-            pod_id,
-            dc_id,
-        )
-        chains = cloud._chains
-        max_chain = max(len(c) for c in chains)
-        self.chain_len = np.array([len(c) for c in chains], dtype=np.int64)
-        self.chain_matrix = np.full((num_hosts, max_chain), -1, dtype=np.int64)
-        for h, chain in enumerate(chains):
-            for k, (link, _switch) in enumerate(chain):
-                self.chain_matrix[h, k] = link
-        # steps_at_dist[h, 0] = 0; unrealizable distances keep the 0
-        # sentinel -- they never occur between two real hosts of one cloud.
-        self.steps_at_dist = np.zeros((num_hosts, 5), dtype=np.int64)
-        for h, chain in enumerate(chains):
-            for dist in range(1, 5):
-                steps = Cloud._steps_for_distance(chain, dist)
-                if steps is not None:
-                    self.steps_at_dist[h, dist] = steps
-        self.host_link = np.array(
-            [h.link_index for h in cloud.hosts], dtype=np.int64
-        )
+        def view(column: Any) -> Any:
+            array = np.frombuffer(column, dtype=np.int64)
+            array.setflags(write=False)
+            return array
+
+        self.unit_ids = tuple(view(ids) for ids in cloud.unit_ids)
+        self.uplinks = tuple(view(links) for links in cloud.uplinks)
+        self.unit_starts = tuple(view(starts) for starts in cloud.unit_starts)
         self.disk_host = np.array(
             [d.host.index for d in cloud.disks], dtype=np.int64
         )
-        self._distance_rows: Dict[int, Any] = {}
-        self._hops_rows: Dict[int, Any] = {}
-        self._steps_self_rows: Dict[int, Any] = {}
-        self._steps_other_rows: Dict[int, Any] = {}
-        self._distance_matrix: Any = None
+        # (levels, H): each host's unit at each level, numbered across
+        # the levels (level k's units follow level k - 1's), and its uplink
+        sizes = [len(links) for links in self.uplinks]
+        offsets = np.cumsum([0] + sizes[:-1])
+        self.flat_unit_ids = np.stack(self.unit_ids) + offsets[:, None]
+        self.num_units = sum(sizes)
+        links = np.concatenate(self.uplinks)[self.flat_unit_ids]
+        exists = links >= 0
+        climbed = np.cumsum(exists, axis=0)
+        self.chain_len = climbed[-1]
+        self.chain_matrix = np.full(
+            (len(self.chain_len), int(self.chain_len.max())), -1, dtype=np.int64
+        )
+        levels, hosts = np.nonzero(exists)
+        self.chain_matrix[hosts, climbed[levels, hosts] - 1] = links[levels, hosts]
+        self.steps_by_dist = np.zeros((5, len(self.chain_len)), dtype=np.int64)
+        self.steps_by_dist[1:] = climbed
+        if not exists[-1].any():
+            # no WAN level: distance 4 never occurs (the 0 sentinel)
+            self.steps_by_dist[4] = 0
+        self._rows: Dict[int, Tuple[Any, Any, Any]] = {}
 
-    @property
-    def distance_matrix(self) -> Any:
-        """Full (H, H) separation-distance matrix (built lazily).
+    def _host_rows(self, host: int) -> Tuple[Any, Any, Any]:
+        """``steps_rows(host)`` and ``hops_row(host)``, read-only."""
+        rows = self._rows.get(host)
+        if rows is None:
+            by_dist = self.steps_by_dist
+            own = by_dist[-1].copy()
+            peer_steps = by_dist[:, host].tolist()
+            peer = np.full(len(own), peer_steps[-1], dtype=np.int64)
+            # widest level first: hosts in ``host``'s unit at ``level``
+            # but in no narrower one are at distance ``level`` from it
+            for level in range(len(self.unit_ids) - 1, -1, -1):
+                unit = self.unit_ids[level][host]
+                lo, hi = self.unit_starts[level][unit : unit + 2].tolist()
+                own[lo:hi] = by_dist[level, lo:hi]
+                peer[lo:hi] = peer_steps[level]
+            rows = (own, peer, own + peer)
+            for row in rows:
+                row.setflags(write=False)
+            if len(self._rows) >= _ROW_MEMO_CAP:
+                del self._rows[next(iter(self._rows))]
+            self._rows[host] = rows
+        return rows
 
-        ``int8``: the values are 0..4, and at 2400 hosts an ``int64``
-        matrix plus the temporaries of a nested ``np.where`` is most of
-        the process's memory. One boolean mask per level at a time,
-        widest scope last so it wins.
-        """
-        if self._distance_matrix is None:
-            num_hosts = len(self.chain_len)
-            matrix = np.zeros((num_hosts, num_hosts), dtype=np.int8)
-            for distance, ids in enumerate(self.unit_id_arrays, start=1):
-                matrix[ids[:, None] != ids[None, :]] = distance
-            matrix.setflags(write=False)
-            self._distance_matrix = matrix
-        return self._distance_matrix
-
-    def unit_ids(self, level: int) -> Any:
-        """Per-host unit ids at separation level 0..3."""
-        return self.unit_id_arrays[level]
-
-    def distance_row(self, host: int) -> Any:
-        """``distance(h, host)`` for every host ``h`` (int64 array)."""
-        row = self._distance_rows.get(host)
-        if row is None:
-            _, rack_id, pod_id, dc_id = self.unit_id_arrays
-            row = np.where(
-                dc_id != dc_id[host],
-                4,
-                np.where(
-                    pod_id != pod_id[host],
-                    3,
-                    np.where(rack_id != rack_id[host], 2, 1),
-                ),
-            ).astype(np.int64)
-            row[host] = 0
-            row.setflags(write=False)
-            self._distance_rows[host] = row
-        return row
-
-    def steps_self(self, host: int) -> Any:
-        """``steps_at_dist[h, distance(h, host)]`` for every host ``h``.
-
-        The variable-side half of the hop count to a fixed peer ``host``.
-        """
-        row = self._steps_self_rows.get(host)
-        if row is None:
-            dist = self.distance_row(host)
-            row = self.steps_at_dist[np.arange(len(dist)), dist]
-            row.setflags(write=False)
-            self._steps_self_rows[host] = row
-        return row
-
-    def steps_other(self, host: int) -> Any:
-        """``steps_at_dist[host, distance(h, host)]`` for every host ``h``.
-
-        The fixed peer's half of the hop count.
-        """
-        row = self._steps_other_rows.get(host)
-        if row is None:
-            dist = self.distance_row(host)
-            row = self.steps_at_dist[host][dist]
-            row.setflags(write=False)
-            self._steps_other_rows[host] = row
-        return row
+    def steps_rows(self, host: int) -> Tuple[Any, Any]:
+        """The two halves of ``hop_count(h, host)`` for every host ``h``,
+        with ``d = distance(h, host)``: ``steps_by_dist[d, h]`` (the
+        variable side) and ``steps_by_dist[d, host]`` (the fixed peer's)."""
+        own, peer, _ = self._host_rows(host)
+        return own, peer
 
     def hops_row(self, host: int) -> Any:
         """``hop_count(h, host)`` for every host ``h`` (int64 array)."""
-        row = self._hops_rows.get(host)
-        if row is None:
-            row = self.steps_self(host) + self.steps_other(host)
-            row.setflags(write=False)
-            self._hops_rows[host] = row
-        return row
+        return self._host_rows(host)[2]
 
     def pair_hops(self, hosts_a: Any, hosts_b: Any) -> Any:
         """Element-wise ``hop_count(a, b)`` over two host-index arrays."""
-        _, rack_id, pod_id, dc_id = self.unit_id_arrays
-        dist = np.where(
-            dc_id[hosts_a] != dc_id[hosts_b],
-            4,
-            np.where(
-                pod_id[hosts_a] != pod_id[hosts_b],
-                3,
-                np.where(
-                    rack_id[hosts_a] != rack_id[hosts_b],
-                    2,
-                    np.where(hosts_a != hosts_b, 1, 0),
-                ),
-            ),
-        )
-        return (
-            self.steps_at_dist[hosts_a, dist]
-            + self.steps_at_dist[hosts_b, dist]
-        )
+        units = self.flat_unit_ids
+        dist = (units[:, hosts_a] != units[:, hosts_b]).sum(axis=0)
+        return self.steps_by_dist[dist, hosts_a] + self.steps_by_dist[dist, hosts_b]
 
 
 # ----------------------------------------------------------------------
@@ -428,10 +373,9 @@ def _bandwidth_feasible(
     #: neighbor-side link index -> per-candidate-host demand
     nbr_demand: Dict[int, Any] = {}
     for nbr_host, bw in flows:
-        steps_cand = arrays.steps_self(nbr_host)
+        steps_cand, steps_nbr = arrays.steps_rows(nbr_host)
         for k in range(max_chain):
             cand_demand[k] += np.where(steps_cand > k, bw, 0.0)
-        steps_nbr = arrays.steps_other(nbr_host)
         for m in range(int(arrays.chain_len[nbr_host])):
             link = int(arrays.chain_matrix[nbr_host, m])
             acc = nbr_demand.get(link)
@@ -500,7 +444,7 @@ def candidate_targets_numpy(
     else:
         mask = np.ones(num_hosts, dtype=bool)
     for member_host, level in ctx.separations:
-        ids = arrays.unit_ids(int(level))
+        ids = arrays.unit_ids[level]
         mask = mask & (ids != ids[member_host])
     for nbr_host, max_hops in ctx.hop_limits:
         mask = mask & (arrays.hops_row(nbr_host) <= max_hops)
@@ -524,7 +468,7 @@ def candidate_targets_numpy(
     placed_hosts = sorted(partial.placed_hosts())
     max_chain = arrays.chain_matrix.shape[1]
     base = 2 if node.is_vm else 1
-    ncols = base + 1 + max_chain + len(placed_hosts)
+    ncols = base + 1 + max_chain + (len(arrays.unit_ids) if placed_hosts else 0)
     signature = np.empty((count, ncols), dtype=np.int64)
     if node.is_vm:
         signature[:, 0] = _quantize_array(view.cpu_free[hosts])
@@ -539,11 +483,18 @@ def candidate_targets_numpy(
         _quantize_array(view.bw_free[np.maximum(chain, 0)]),
         _SIG_PAD,
     )
+    # One column per level in place of the distances to the placed hosts:
+    # the host's unit where that unit holds a placed host, else -1. Units
+    # nest, so this is a bijection of the distance vector (a host meets a
+    # placed host first at the lowest level whose unit they share) and
+    # the classes, their order and multiplicities are the same.
     if placed_hosts:
-        placed_arr = np.asarray(placed_hosts, dtype=np.int64)
-        signature[:, base + 1 + max_chain :] = arrays.distance_matrix[
-            np.ix_(hosts, placed_arr)
-        ]
+        occupied = np.zeros(arrays.num_units, dtype=bool)
+        occupied[arrays.flat_unit_ids[:, placed_hosts]] = True
+        units = arrays.flat_unit_ids[:, hosts]
+        signature[:, base + 1 + max_chain :] = np.where(
+            occupied[units], units, -1
+        ).T
     # Row-equality classes via a wrapping-int64 row hash: ~16x cheaper
     # than np.unique(axis=0)'s lexicographic row sort. The grouping is
     # verified exactly (every row must equal its class representative);
@@ -1190,11 +1141,11 @@ class _EstimateBatch:
         ).astype(np.int64)
 
     def _ids_grid(self, level: int) -> Any:
-        """``unit_ids(level)`` gathered over ``t_host`` (static per batch:
+        """``unit_ids[level]`` gathered over ``t_host`` (static per batch:
         fresh imaginary columns never write ``t_host``)."""
         grid = self._ids_grids.get(level)
         if grid is None:
-            grid = self.arrays.unit_ids(level)[np.maximum(self.t_host, 0)]
+            grid = self.arrays.unit_ids[level][np.maximum(self.t_host, 0)]
             self._ids_grids[level] = grid
         return grid
 
@@ -1248,7 +1199,7 @@ class _EstimateBatch:
         dynamic: List[Tuple[int, Any, str]] = []
         for zone in zones:
             level = int(zone.level)
-            ids = self.arrays.unit_ids(level)
+            ids = self.arrays.unit_ids[level]
             for member in zone.members:
                 if member == name:
                     continue

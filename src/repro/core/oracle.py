@@ -50,7 +50,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.core.kernel import HAVE_NUMPY, _forced_distance
-from repro.datacenter.model import Cloud
+from repro.datacenter.model import Cloud, Level
+from repro.errors import DataCenterError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.objective import Objective
@@ -89,35 +90,19 @@ class OracleBound:
     status: str
 
 
-def _min_hops_at_distance(cloud: Cloud) -> List[float]:
+def _hop_minima(cloud: Cloud) -> List[float]:
     """``g[d]``: minimum hop count of any host pair at separation ``d``.
 
-    Uses the per-host one-sided step counts, minimized over all hosts
-    independently per side -- a valid under-estimate of any real pair's
-    hop count at that distance. A distance no host can realize (e.g.
-    ``d=4`` in a single-datacenter cloud) is ``inf``: that relationship
-    cannot occur, so it must never be the minimum of a cost chain.
+    A distance the cloud cannot realize (``d=4`` in a single-datacenter
+    cloud) is ``inf``: that relationship cannot occur, so it must never
+    be the minimum of a cost chain.
     """
-    from repro.core.kernel import CloudArrays
-
-    if HAVE_NUMPY:
-        steps = CloudArrays.for_cloud(cloud).steps_at_dist
-        g = [0.0]
-        for dist in range(1, 5):
-            col = steps[:, dist]
-            realizable = col[col > 0]  # 0 is the unrealizable sentinel
-            g.append(
-                float(2 * realizable.min()) if realizable.size else math.inf
-            )
-        return g
-    g = [0.0]
-    for dist in range(1, 5):
-        best = math.inf
-        for chain in cloud._chains:
-            steps_d = Cloud._steps_for_distance(chain, dist)
-            if steps_d is not None:
-                best = min(best, steps_d)
-        g.append(best if math.isinf(best) else 2.0 * best)
+    g = []
+    for dist in range(5):
+        try:
+            g.append(float(cloud.min_hops_for_distance(dist)))
+        except DataCenterError:
+            g.append(math.inf)
     return g
 
 
@@ -274,10 +259,11 @@ def _closed_form(
     capacity, so ``k`` is at least the demand overshoot beyond the
     already-active hosts' free capacity, per resource.
     """
-    g = _min_hops_at_distance(cloud)
-    num_dcs = len({c[2] for c in cloud._ancestors})
-    num_pods = len({c[1] for c in cloud._ancestors})
-    num_racks = len({c[0] for c in cloud._ancestors})
+    g = _hop_minima(cloud)
+    num_racks, num_pods, num_dcs = (
+        len(set(cloud.unit_ids[level]))
+        for level in (Level.RACK, Level.POD, Level.DATACENTER)
+    )
     demands = _node_demands(topology, state)
     host_max = _host_maxima(cloud, state)
     for dem in demands.values():
@@ -410,27 +396,22 @@ def _milp_bound(
     """Rack-granular MILP relaxation; returns (score_lb, solver, status)."""
     import numpy as np
 
-    from repro.core.kernel import CloudArrays
-
-    arrays = CloudArrays.for_cloud(cloud)
-    rack_of_host = arrays.unit_id_arrays[1]
-    pod_of_host = arrays.unit_id_arrays[2]
-    dc_of_host = arrays.unit_id_arrays[3]
-    racks = sorted({int(r) for r in rack_of_host})
-    rack_index = {r: i for i, r in enumerate(racks)}
-    num_r = len(racks)
-    # rack -> pod / dc (unit ids nest, so any member host decides)
-    pod_of_rack = [0] * num_r
-    dc_of_rack = [0] * num_r
-    hosts_by_rack: List[List[int]] = [[] for _ in range(num_r)]
-    for h in range(cloud.num_hosts):
-        ri = rack_index[int(rack_of_host[h])]
-        hosts_by_rack[ri].append(h)
-        pod_of_rack[ri] = int(pod_of_host[h])
-        dc_of_rack[ri] = int(dc_of_host[h])
-    pods = sorted(set(pod_of_rack))
-    num_p = len(pods)
-    num_d = len(set(dc_of_rack))
+    # the racks holding hosts, each a host range, and the positions of
+    # those racks per pod / dc unit: unit ids nest and ascend with the
+    # host index, so a rack's first host decides and groups come sorted
+    starts = cloud.unit_starts[Level.RACK]
+    hosts_by_rack = [
+        range(lo, hi) for lo, hi in zip(starts, starts[1:]) if lo < hi
+    ]
+    num_r = len(hosts_by_rack)
+    racks_of: Dict[int, List[List[int]]] = {}
+    for level in (Level.POD, Level.DATACENTER):
+        groups: Dict[int, List[int]] = {}
+        for r, hosts in enumerate(hosts_by_rack):
+            groups.setdefault(cloud.unit_ids[level][hosts[0]], []).append(r)
+        racks_of[level] = list(groups.values())
+    num_p = len(racks_of[Level.POD])
+    num_d = len(racks_of[Level.DATACENTER])
 
     nodes = list(topology.nodes)
     node_index = {name: n for n, name in enumerate(nodes)}
@@ -442,7 +423,7 @@ def _milp_bound(
         if lk.bw_mbps > 0
     ]
     num_l = len(links)
-    g = _min_hops_at_distance(cloud)
+    g = _hop_minima(cloud)
     demands = _node_demands(topology, state)
     host_max = _host_maxima(cloud, state)
     if any(
@@ -577,9 +558,9 @@ def _milp_bound(
         row += 1
 
     # both_u <= x[endpoint, u] for each level's units
-    rack_to_pod_index = [pods.index(p) for p in pod_of_rack]
-    dcs = sorted(set(dc_of_rack))
-    rack_to_dc_index = [dcs.index(d) for d in dc_of_rack]
+    unit_blocks = [(off_bp, racks_of[Level.POD])] if use_pod else []
+    if use_dc:
+        unit_blocks.append((off_bd, racks_of[Level.DATACENTER]))
     for li, (a, b, _bw, _forced) in enumerate(links):
         for r in range(num_r):
             for endpoint in (a, b):
@@ -588,25 +569,10 @@ def _milp_bound(
                 con_lb.append(-math.inf)
                 con_ub.append(0.0)
                 row += 1
-        if use_pod:
-            for pi in range(num_p):
-                member_racks = [
-                    r for r in range(num_r) if rack_to_pod_index[r] == pi
-                ]
+        for offset, units in unit_blocks:
+            for ui, member_racks in enumerate(units):
                 for endpoint in (a, b):
-                    add_entry(row, off_bp + li * num_p + pi, 1.0)
-                    for r in member_racks:
-                        add_entry(row, off_x + endpoint * num_r + r, -1.0)
-                    con_lb.append(-math.inf)
-                    con_ub.append(0.0)
-                    row += 1
-        if use_dc:
-            for di in range(num_d):
-                member_racks = [
-                    r for r in range(num_r) if rack_to_dc_index[r] == di
-                ]
-                for endpoint in (a, b):
-                    add_entry(row, off_bd + li * num_d + di, 1.0)
+                    add_entry(row, offset + li * len(units) + ui, 1.0)
                     for r in member_racks:
                         add_entry(row, off_x + endpoint * num_r + r, -1.0)
                     con_lb.append(-math.inf)
@@ -661,21 +627,11 @@ def _milp_bound(
                 con_lb.append(-math.inf)
                 con_ub.append(1.0)
                 row += 1
-        elif level == 2 and use_pod:
-            for pi in range(num_p):
+        elif (level == 2 and use_pod) or (level >= 3 and use_dc):
+            for member_racks in racks_of[min(level, Level.DATACENTER)]:
                 for n in members:
-                    for r in range(num_r):
-                        if rack_to_pod_index[r] == pi:
-                            add_entry(row, off_x + n * num_r + r, 1.0)
-                con_lb.append(-math.inf)
-                con_ub.append(1.0)
-                row += 1
-        elif level >= 3 and use_dc:
-            for di in range(num_d):
-                for n in members:
-                    for r in range(num_r):
-                        if rack_to_dc_index[r] == di:
-                            add_entry(row, off_x + n * num_r + r, 1.0)
+                    for r in member_racks:
+                        add_entry(row, off_x + n * num_r + r, 1.0)
                 con_lb.append(-math.inf)
                 con_ub.append(1.0)
                 row += 1

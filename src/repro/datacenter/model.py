@@ -20,16 +20,28 @@ Separation levels
 -----------------
 
 :class:`Level` enumerates the diversity-zone levels of the paper (host,
-rack, pod, data center). The *distance* between two hosts is the first level
-at which their ancestor chains diverge (0 = same host, 1 = same rack but
+rack, pod, data center). The *distance* between two hosts is the number of
+levels at which their units differ (0 = same host, 1 = same rack but
 different hosts, 2 = same pod different racks, 3 = same data center
 different pods, 4 = different data centers). In a pod-less data center each
 rack connects straight to the root, so two hosts in different racks are
 already separated at the pod level: each rack acts as its own implicit pod.
+
+The level table
+---------------
+
+Hosts are numbered depth-first (data center, pod, rack, host), so every
+unit of every level is a contiguous range of host indices. :class:`Cloud`
+keeps the whole hierarchy as one table of ``array('q')`` columns per
+level: the unit id of each host, the uplink of each unit (-1 where there
+is none: an implicit pod, or the data center of a single-DC cloud) and the
+first host of each unit. Distance, separation, paths and hop counts are
+arithmetic on those ids; the NumPy kernel views the same buffers.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -178,9 +190,10 @@ class Cloud:
     """The root container: one or more data centers plus global indexing.
 
     Construction walks the hierarchy once, assigns dense integer indices to
-    hosts, disks, racks, pods, data centers and network links, and wires up
-    back-references. All placement algorithms address elements by these
-    indices; names are for humans and templates.
+    hosts, disks, racks, pods, data centers and network links, wires up
+    back-references and fills the level table (module docstring). All
+    placement algorithms address elements by these indices; names are for
+    humans and templates.
     """
 
     def __init__(self, datacenters: Sequence[DataCenter]) -> None:
@@ -197,22 +210,27 @@ class Cloud:
         self.link_names: List[str] = []
         self._hosts_by_name: Dict[str, Host] = {}
         self._disks_by_name: Dict[str, Disk] = {}
-        # Per-host uplink chain: tuple of (link_index, switch_key) pairs from
-        # the host NIC up to the cloud root. switch_key identifies the switch
-        # reached after traversing that link.
-        self._chains: List[Tuple[Tuple[int, Tuple[str, int]], ...]] = []
-        # Per-host ancestor keys for distance computation:
-        # (rack_index, implicit_pod_key, dc_index)
-        self._ancestors: List[Tuple[int, Tuple[str, int], int]] = []
+        #: the level table, one column per :class:`Level`:
+        #: ``unit_ids[level][host]`` is the host's unit, ``uplinks[level]
+        #: [unit]`` the unit's uplink (-1: none) and ``unit_starts[level]
+        #: [unit]`` its first host, the host count appended last. Written
+        #: only by ``_index``; the kernel's views pin the lengths after it.
+        self.unit_ids: Tuple["array[int]", ...] = tuple(array("q") for _ in Level)
+        self.uplinks: Tuple["array[int]", ...] = tuple(array("q") for _ in Level)
+        self.unit_starts: Tuple["array[int]", ...] = tuple(
+            array("q") for _ in Level
+        )
         self._index()
-        # Link-only view of each chain, precomputed once: uplink_chain()
-        # sits inside the candidate-signature hot loop.
-        self._uplink_chains: List[Tuple[int, ...]] = [
-            tuple(link for link, _ in chain) for chain in self._chains
-        ]
-        # Memos of per-cloud constants every search asks for, filled on
-        # first use (the structure never changes after _index()).
-        self._min_hops: Dict[int, Optional[int]] = {}
+        # Only the pod level varies how far a host climbs (host and rack
+        # uplinks always exist, the WAN uplink is all-or-none), so the
+        # first host of each pod unit stands for all of its hosts.
+        pods = self.unit_starts[Level.POD]
+        heads = [lo for lo, hi in zip(pods, pods[1:]) if lo < hi]
+        #: fewest links any host climbs to cover each distance 0..4
+        self._min_steps = tuple(
+            min(len(self._climb(h, dist)) for h in heads) for dist in range(5)
+        )
+        self._max_steps = max(len(self._climb(h, len(Level))) for h in heads)
         self._largest_host: Optional[Tuple[float, float, float, float]] = None
 
     # ------------------------------------------------------------------
@@ -224,6 +242,11 @@ class Cloud:
         self.link_names.append(name)
         return len(self.link_capacity_mbps) - 1
 
+    def _open_unit(self, level: Level, uplink: int) -> None:
+        """Start a unit at ``level``; the hosts indexed next belong to it."""
+        self.uplinks[level].append(uplink)
+        self.unit_starts[level].append(len(self.hosts))
+
     def _index(self) -> None:
         multi_dc = len(self.datacenters) > 1
         for dc_i, dc in enumerate(self.datacenters):
@@ -232,6 +255,7 @@ class Cloud:
                 dc.link_index = self._new_link(
                     dc.uplink_bw_mbps, f"wan:{dc.name}"
                 )
+            self._open_unit(Level.DATACENTER, dc.link_index)
             for pod in dc.pods:
                 pod.datacenter = dc
                 pod.index = len(self.pods)
@@ -239,12 +263,18 @@ class Cloud:
                 pod.link_index = self._new_link(
                     pod.uplink_bw_mbps, f"pod-uplink:{pod.name}"
                 )
+                self._open_unit(Level.POD, pod.link_index)
                 for rack in pod.racks:
                     self._index_rack(rack, dc, pod)
             for rack in dc.racks:
+                # A pod-less rack acts as its own implicit pod, which has
+                # no uplink: the ToR uplink reaches the root directly.
+                self._open_unit(Level.POD, -1)
                 self._index_rack(rack, dc, None)
         if not self.hosts:
             raise DataCenterError("cloud contains no hosts")
+        for starts in self.unit_starts:
+            starts.append(len(self.hosts))
 
     def _index_rack(self, rack: Rack, dc: DataCenter, pod: Optional[Pod]) -> None:
         rack.datacenter = dc
@@ -254,19 +284,21 @@ class Cloud:
         rack.link_index = self._new_link(
             rack.uplink_bw_mbps, f"tor-uplink:{rack.name}"
         )
+        self._open_unit(Level.RACK, rack.link_index)
         for host in rack.hosts:
-            self._index_host(host, rack, dc, pod)
+            self._index_host(host, rack)
 
-    def _index_host(
-        self, host: Host, rack: Rack, dc: DataCenter, pod: Optional[Pod]
-    ) -> None:
+    def _index_host(self, host: Host, rack: Rack) -> None:
         if host.name in self._hosts_by_name:
             raise DataCenterError(f"duplicate host name: {host.name!r}")
         host.rack = rack
         host.index = len(self.hosts)
+        host.link_index = self._new_link(host.nic_bw_mbps, f"nic:{host.name}")
+        self._open_unit(Level.HOST, host.link_index)
         self.hosts.append(host)
         self._hosts_by_name[host.name] = host
-        host.link_index = self._new_link(host.nic_bw_mbps, f"nic:{host.name}")
+        for ids, uplinks in zip(self.unit_ids, self.uplinks):
+            ids.append(len(uplinks) - 1)  # the unit opened last
         for disk in host.disks:
             if disk.name in self._disks_by_name:
                 raise DataCenterError(f"duplicate disk name: {disk.name!r}")
@@ -274,23 +306,6 @@ class Cloud:
             disk.index = len(self.disks)
             self.disks.append(disk)
             self._disks_by_name[disk.name] = disk
-        # Uplink chain: NIC -> ToR, ToR uplink -> pod switch or DC root,
-        # [pod uplink -> DC root], [WAN uplink -> cloud root].
-        chain: List[Tuple[int, Tuple[str, int]]] = [
-            (host.link_index, ("rack", rack.index))
-        ]
-        if pod is not None:
-            chain.append((rack.link_index, ("pod", pod.index)))
-            chain.append((pod.link_index, ("dcroot", dc.index)))
-            implicit_pod_key = ("pod", pod.index)
-        else:
-            chain.append((rack.link_index, ("dcroot", dc.index)))
-            # A pod-less rack acts as its own implicit pod.
-            implicit_pod_key = ("rack-as-pod", rack.index)
-        if dc.link_index >= 0:
-            chain.append((dc.link_index, ("cloudroot", 0)))
-        self._chains.append(tuple(chain))
-        self._ancestors.append((rack.index, implicit_pod_key, dc.index))
 
     # ------------------------------------------------------------------
     # lookups
@@ -320,6 +335,12 @@ class Cloud:
         """Number of indexed network links in the cloud."""
         return len(self.link_capacity_mbps)
 
+    def unit_range(self, level: int, host: int) -> Tuple[int, int]:
+        """Host-index range ``[lo, hi)`` of ``host``'s unit at ``level``."""
+        starts = self.unit_starts[level]
+        unit = self.unit_ids[level][host]
+        return starts[unit], starts[unit + 1]
+
     # ------------------------------------------------------------------
     # topology arithmetic (used heavily by the algorithms)
     # ------------------------------------------------------------------
@@ -332,43 +353,35 @@ class Cloud:
         for different data centers. In pod-less data centers different racks
         yield distance 3 (each rack is its own implicit pod).
         """
-        if host_a == host_b:
-            return 0
-        rack_a, pod_a, dc_a = self._ancestors[host_a]
-        rack_b, pod_b, dc_b = self._ancestors[host_b]
-        if dc_a != dc_b:
-            return 4
-        if pod_a != pod_b:
-            return 3
-        if rack_a != rack_b:
-            return 2
-        return 1
+        return sum(ids[host_a] != ids[host_b] for ids in self.unit_ids)
 
     def separated_at(self, host_a: int, host_b: int, level: Level) -> bool:
-        """True if two hosts satisfy a diversity requirement at ``level``."""
-        return self.distance(host_a, host_b) > int(level)
+        """True if two hosts satisfy a diversity requirement at ``level``.
+
+        Units nest, so the distance exceeds ``level`` exactly when the
+        hosts' units at ``level`` differ.
+        """
+        ids = self.unit_ids[level]
+        return ids[host_a] != ids[host_b]
+
+    def _climb(self, host: int, dist: int) -> Tuple[int, ...]:
+        """Links from ``host`` up to a switch covering distance ``dist``:
+        the existing uplinks of its units below level ``dist``, NIC first."""
+        links = (
+            uplinks[ids[host]]
+            for ids, uplinks in zip(self.unit_ids[:dist], self.uplinks[:dist])
+        )
+        return tuple(link for link in links if link >= 0)
 
     def path(self, host_a: int, host_b: int) -> Tuple[int, ...]:
         """Network links traversed by traffic between two hosts.
 
-        Returns a tuple of global link indices; empty when both endpoints
+        Returns a tuple of global link indices -- ``host_a``'s climb to the
+        lowest common switch, then ``host_b``'s; empty when both endpoints
         are the same host (intra-host traffic never touches the network).
         """
-        if host_a == host_b:
-            return ()
-        chain_a = self._chains[host_a]
-        chain_b = self._chains[host_b]
-        # Find the lowest common switch reached by both chains.
-        reach_b = {switch: steps for steps, (_, switch) in enumerate(chain_b)}
-        for steps_a, (_, switch) in enumerate(chain_a):
-            if switch in reach_b:
-                steps_b = reach_b[switch]
-                links = [link for link, _ in chain_a[: steps_a + 1]]
-                links.extend(link for link, _ in chain_b[: steps_b + 1])
-                return tuple(links)
-        raise DataCenterError(
-            f"no network path between hosts {host_a} and {host_b}"
-        )
+        dist = self.distance(host_a, host_b)
+        return self._climb(host_a, dist) + self._climb(host_b, dist)
 
     def hop_count(self, host_a: int, host_b: int) -> int:
         """Number of links on the path between two hosts."""
@@ -381,7 +394,7 @@ class Cloud:
         the ToR uplink, the pod uplink (when pods exist), and the WAN
         uplink (when the cloud spans several data centers).
         """
-        return self._uplink_chains[host]
+        return self._climb(host, len(Level))
 
     def max_hop_count(self) -> int:
         """Longest possible path length between any two hosts.
@@ -390,8 +403,7 @@ class Cloud:
         worst-case placement routes every flow through the top of the
         hierarchy, consuming both endpoints' full uplink chains.
         """
-        longest = max(len(chain) for chain in self._chains)
-        return 2 * longest
+        return 2 * self._max_steps
 
     def min_hops_for_distance(self, dist: int) -> int:
         """Optimistic (minimal) hop count for a given separation distance.
@@ -400,24 +412,15 @@ class Cloud:
         at a given level consume at least this many link traversals. The
         value is computed over the actual cloud structure, so pod-less data
         centers report 4 hops for distance 3 (host NIC + ToR uplink on both
-        sides) while podded ones report 6.
+        sides) while podded ones report 6. Distance 4 needs a WAN level.
         """
         if dist <= 0:
             return 0
-        if dist not in self._min_hops:
-            best: Optional[int] = None
-            for chain in self._chains:
-                # steps needed on one side to reach a switch at/above `dist`
-                steps = self._steps_for_distance(chain, dist)
-                if steps is not None and (best is None or steps < best):
-                    best = steps
-            self._min_hops[dist] = best
-        memo = self._min_hops[dist]
-        if memo is None:
+        if dist > Level.DATACENTER and self.uplinks[Level.DATACENTER][0] < 0:
             raise DataCenterError(
                 f"cloud cannot separate hosts at distance {dist}"
             )
-        return 2 * memo
+        return 2 * self._min_steps[dist]
 
     def largest_host(self) -> Tuple[float, float, float, float]:
         """Largest ``(cpu_cores, mem_gb, disk capacity_gb, nic_bw_mbps)``
@@ -431,22 +434,6 @@ class Cloud:
                 max(h.nic_bw_mbps for h in self.hosts),
             )
         return self._largest_host
-
-    @staticmethod
-    def _steps_for_distance(
-        chain: Tuple[Tuple[int, Tuple[str, int]], ...], dist: int
-    ) -> Optional[int]:
-        # Distance d requires meeting at a switch whose scope covers d:
-        # rack switch covers distance 1, pod switch 2..3 (implicit pods make
-        # rack==pod), dc root 3, cloud root 4.
-        scope_needed = {1: "rack", 2: "pod", 3: "dcroot", 4: "cloudroot"}[dist]
-        order = ["rack", "pod", "dcroot", "cloudroot"]
-        min_rank = order.index(scope_needed)
-        for steps, (_, (kind, _key)) in enumerate(chain):
-            rank = order.index("pod" if kind == "rack-as-pod" else kind)
-            if rank >= min_rank:
-                return steps + 1
-        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

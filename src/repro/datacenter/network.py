@@ -15,7 +15,7 @@ from __future__ import annotations
 import weakref
 from typing import Dict, Iterable, List, Tuple
 
-from repro.datacenter.model import Cloud
+from repro.datacenter.model import Cloud, Level
 
 
 class PathResolver:
@@ -41,16 +41,18 @@ class PathResolver:
         self._paths: Dict[Tuple[int, int], Tuple[int, ...]] = {}
         self._distances: Dict[Tuple[int, int], int] = {}
         self._hops: Dict[Tuple[int, int], int] = {}
-        # host -> list of distances to every other host, built lazily
-        self._distance_rows: Dict[int, List[int]] = {}
 
     @classmethod
     def for_cloud(cls, cloud: Cloud) -> "PathResolver":
-        """The shared memoizing resolver for a cloud (created on demand)."""
+        """The shared memoizing resolver for a cloud (created on demand).
+
+        It reaches its cloud through a weak proxy: the cache is keyed
+        weakly by the cloud, and a strong reference from the value would
+        keep every cloud ever searched alive.
+        """
         resolver = cls._shared.get(cloud)
         if resolver is None:
-            resolver = cls(cloud)
-            cls._shared[cloud] = resolver
+            resolver = cls._shared[cloud] = cls(weakref.proxy(cloud))
         return resolver
 
     def path(self, host_a: int, host_b: int) -> Tuple[int, ...]:
@@ -74,16 +76,17 @@ class PathResolver:
     def distance_row(self, host: int) -> List[int]:
         """Distances from one host to every host, as an indexable row.
 
-        Built once per host and cached; candidate deduplication reads the
-        distance to every placed host for every feasible host, and a plain
-        list index beats a per-pair function call there. Treat the returned
-        row as read-only.
+        Candidate deduplication reads the distance to every placed host
+        for every feasible host, and a plain list index beats a per-pair
+        function call there. Built from the unit ranges: every host starts
+        at the widest distance, then ``host``'s unit at each level, widest
+        first, is overwritten with that level -- a few slice fills.
         """
-        row = self._distance_rows.get(host)
-        if row is None:
-            cloud = self.cloud
-            row = [cloud.distance(host, other) for other in range(cloud.num_hosts)]
-            self._distance_rows[host] = row
+        cloud = self.cloud
+        row = [len(Level)] * cloud.num_hosts
+        for level in reversed(Level):
+            lo, hi = cloud.unit_range(level, host)
+            row[lo:hi] = [int(level)] * (hi - lo)
         return row
 
     def hop_count(self, host_a: int, host_b: int) -> int:

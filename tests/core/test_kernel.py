@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -29,12 +30,14 @@ from repro.core.greedy import EG, EGBW, EGC, GreedyConfig, preselect
 from repro.core.objective import Objective
 from repro.core.placement import PartialPlacement
 from repro.core.scheduler import Ostro
+from repro.datacenter.builder import build_cloud, build_datacenter
 from repro.datacenter.loadgen import apply_random_load
-from repro.datacenter.model import Cloud, DataCenter, Host, Rack
+from repro.datacenter.model import Cloud, DataCenter, Disk, Host, Pod, Rack
 from repro.datacenter.network import PathResolver
 from repro.datacenter.state import DataCenterState
 from repro.errors import PlacementError, ReproError
 from repro.lint.symbols import VOLATILE_EVENT_KEYS
+from repro.workloads.multitier import build_multitier
 from tests.conftest import make_three_tier
 from tests.test_properties import small_cloud, topologies
 
@@ -162,11 +165,41 @@ class TestCrosscheckTrips:
             self._place(monkeypatch, small_dc, point)
 
 
-def _random_partial(topo, seed, picks):
+def _mixed_cloud():
+    """A DC mixing two pods with a pod-less rack, beside a pod-less DC."""
+    def rack(name, hosts):
+        return Rack(name=name, hosts=[
+            Host(name=f"{name}-h{i}", cpu_cores=16, mem_gb=32,
+                 disks=[Disk(f"{name}-d{i}", 1000.0)])
+            for i in range(hosts)
+        ])
+
+    return Cloud([
+        DataCenter(
+            name="dc1",
+            pods=[Pod(name="p1", racks=[rack("r1", 2), rack("r2", 1)]),
+                  Pod(name="p2", racks=[rack("r3", 2)])],
+            racks=[rack("r4", 2)],
+        ),
+        DataCenter(name="dc2", racks=[rack("r5", 1), rack("r6", 2)]),
+    ])
+
+
+#: pod-less, podded multi-DC and mixed clouds
+CLOUD_SHAPES = (
+    small_cloud,
+    lambda: build_cloud(
+        num_datacenters=2, pods_per_dc=2, racks_per_pod=2, hosts_per_rack=2
+    ),
+    _mixed_cloud,
+)
+
+
+def _random_partial(topo, seed, picks, shape=0):
     """A partial placement of a prefix of ``topo`` on a loaded small
     cloud: node ``i`` goes to feasible target number ``picks[i]``
     (modulo how many there are), until the picks or the targets run out."""
-    cloud = small_cloud()
+    cloud = CLOUD_SHAPES[shape]()
     state = DataCenterState(cloud)
     apply_random_load(state, fraction_hosts=0.4, seed=seed)
     partial = PartialPlacement(
@@ -189,14 +222,18 @@ class TestCandidateBlock:
     @given(
         topo=topologies(),
         seed=st.integers(0, 50),
-        picks=st.lists(st.integers(0, 8), max_size=6),
+        picks=st.lists(st.integers(0, 24), max_size=6),
         dedup=st.booleans(),
         limit=st.one_of(st.none(), st.integers(1, 6)),
+        shape=st.integers(0, len(CLOUD_SHAPES) - 1),
     )
     def test_columns_equal_the_specification(
-        self, topo, seed, picks, dedup, limit
+        self, topo, seed, picks, dedup, limit, shape
     ):
-        partial = _random_partial(topo, seed, picks)
+        """Picks reach every host of every shape, so placed hosts sit at
+        every distance from the candidates: the per-level dedup key must
+        partition exactly as the specification's distance rows."""
+        partial = _random_partial(topo, seed, picks, shape)
         for name in topo.nodes:  # VM and volume nodes alike
             if partial.is_placed(name):
                 continue
@@ -285,6 +322,49 @@ def _trajectory(algorithm, topo, cloud, state, kernel_name):
         for event in rec.events.events
     ]
     return result, events
+
+
+def _elements(value):
+    """Array elements held by an attribute value, containers included."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (tuple, list)):
+        return sum(_elements(v) for v in value)
+    return value.size if hasattr(value, "size") else 0
+
+
+class TestCloudArraysMemory:
+    def test_eg_peak_is_linear_in_hosts(self):
+        """9600 hosts: an (H, H) distance matrix alone is 88 MiB."""
+        cloud = build_datacenter(num_racks=600)
+        state = DataCenterState(cloud)
+        topo = build_multitier(20)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with kernel.use_kernel("numpy"):
+                EG().place(topo, cloud, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("shape", range(len(CLOUD_SHAPES)))
+    def test_no_attribute_grows_past_hosts_plus_links(self, shape):
+        """Tables are at most 5 x (H + links) elements, and the row memo
+        keeps at most ``_ROW_MEMO_CAP`` hosts' three H-element rows."""
+        cloud = CLOUD_SHAPES[shape]()
+        with kernel.use_kernel("numpy"):
+            Ostro(cloud).place(make_three_tier(), "ba*")
+        arrays = kernel.CloudArrays.for_cloud(cloud)
+        assert arrays._rows  # the search asked for rows
+        bound = 5 * (cloud.num_hosts + cloud.num_links)
+        for name, value in vars(arrays).items():
+            if name == "_rows":
+                assert len(value) <= kernel._ROW_MEMO_CAP
+                assert _elements(value) == 3 * cloud.num_hosts * len(value)
+            else:
+                assert _elements(value) <= bound, name
 
 
 class TestStateViewCache:

@@ -42,7 +42,7 @@ class TestMinHopsAtDistance:
         # single-DC, single-pod cloud: d=3 and d=4 cannot occur; a 0
         # would poison every min() chain below it
         cloud = build_datacenter(num_racks=4, hosts_per_rack=4)
-        g = oracle._min_hops_at_distance(cloud)
+        g = oracle._hop_minima(cloud)
         assert g[0] == 0.0
         assert g[1] > 0.0
         assert g[2] > 0.0
@@ -54,7 +54,7 @@ class TestMinHopsAtDistance:
             num_datacenters=2, pods_per_dc=2, racks_per_pod=2,
             hosts_per_rack=2,
         )
-        g = oracle._min_hops_at_distance(cloud)
+        g = oracle._hop_minima(cloud)
         assert g[0] == 0.0
         assert all(0.0 < v < math.inf for v in g[1:])
 

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.core import kernel
 from repro.datacenter.builder import build_datacenter
-from repro.datacenter.model import Cloud, DataCenter, Disk, Host, Level, Rack
+from repro.datacenter.model import Cloud, DataCenter, Disk, Host, Level, Pod, Rack
+from repro.datacenter.network import PathResolver
 from repro.errors import DataCenterError
 
 
@@ -197,3 +203,175 @@ class TestBuilders:
         assert len(podded_cloud.pods) == 4
         assert len(podded_cloud.racks) == 8
         assert podded_cloud.num_hosts == 16
+
+
+# ---------------------------------------------------------------------------
+# the level table against the object graph
+# ---------------------------------------------------------------------------
+
+#: hosts per rack; 0 is an empty rack
+_RACKS = st.lists(st.integers(0, 3), max_size=3)
+#: one data center: (its pods, each a list of racks; its pod-less racks)
+_DATACENTERS = st.tuples(st.lists(_RACKS, max_size=2), _RACKS)
+_SHAPES = st.lists(_DATACENTERS, min_size=1, max_size=3).filter(
+    lambda dcs: any(sum(map(sum, pods)) + sum(racks) for pods, racks in dcs)
+)
+
+
+def _cloud_of(shape):
+    names = itertools.count()
+
+    def rack(hosts):
+        return Rack(
+            name=f"r{next(names)}",
+            hosts=[
+                Host(
+                    name=f"h{next(names)}", cpu_cores=4, mem_gb=8,
+                    disks=[Disk(f"d{next(names)}", 100)],
+                )
+                for _ in range(hosts)
+            ],
+        )
+
+    return Cloud([
+        DataCenter(
+            name=f"dc{next(names)}",
+            pods=[Pod(name=f"p{next(names)}", racks=[rack(n) for n in pod])
+                  for pod in pods],
+            racks=[rack(n) for n in racks],
+        )
+        for pods, racks in shape
+    ])
+
+
+def _walked_distance(a, b):
+    """Separation distance from the object graph alone."""
+    if a is b:
+        return 0
+    if a.rack is b.rack:
+        return 1
+    if a.rack.pod is not None and a.rack.pod is b.rack.pod:
+        return 2
+    return 3 if a.rack.datacenter is b.rack.datacenter else 4
+
+
+#: switches in climbing order; a switch of rank r covers distances <= r
+_SWITCH_RANK = {"tor": 1, "pod": 2, "root": 3, "wan": 4}
+
+
+def _walked_chain(host):
+    """``(link, switch)`` pairs from ``host``'s NIC up, from the object
+    graph alone; a switch is ``(kind, element)``."""
+    rack, dc = host.rack, host.rack.datacenter
+    chain = [(host.link_index, ("tor", id(rack)))]
+    if rack.pod is not None:
+        chain.append((rack.link_index, ("pod", id(rack.pod))))
+        chain.append((rack.pod.link_index, ("root", id(dc))))
+    else:
+        chain.append((rack.link_index, ("root", id(dc))))
+    if dc.link_index >= 0:
+        chain.append((dc.link_index, ("wan", 0)))
+    return chain
+
+
+def _walked_path(a, b):
+    """Links up from both hosts to their lowest common switch."""
+    if a is b:
+        return ()
+    chain_a, chain_b = _walked_chain(a), _walked_chain(b)
+    reach_b = {switch: k for k, (_, switch) in enumerate(chain_b)}
+    for k, (_, switch) in enumerate(chain_a):
+        if switch in reach_b:
+            return tuple(link for link, _ in chain_a[: k + 1]) + tuple(
+                link for link, _ in chain_b[: reach_b[switch] + 1]
+            )
+    raise AssertionError("no common switch")
+
+
+def _walked_min_hops(cloud, dist):
+    """Twice the fewest links any host climbs to a switch covering
+    ``dist``; None when no switch does."""
+    steps = [
+        next(
+            (k + 1 for k, (_, (kind, _)) in enumerate(_walked_chain(host))
+             if _SWITCH_RANK[kind] >= dist),
+            None,
+        )
+        for host in cloud.hosts
+    ]
+    steps = [s for s in steps if s is not None]
+    return 2 * min(steps) if steps else None
+
+
+class TestLevelTableProperty:
+    """Every structural answer equals an independent walk over the object
+    graph, on cloud shapes no `build_*` function makes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=_SHAPES)
+    @example(shape=[([[2, 1]], [1])])  # a DC mixing a pod and a pod-less rack
+    @example(shape=[([[2], [1, 1]], []), ([], [1, 3])])  # a pod-less DC
+    @example(shape=[([], [1, 1, 1])])  # single-host racks
+    def test_table_equals_the_object_graph(self, shape):
+        cloud = _cloud_of(shape)
+        hosts = cloud.hosts
+        resolver = PathResolver.for_cloud(cloud)
+        for a in hosts:
+            assert cloud.uplink_chain(a.index) == tuple(
+                link for link, _ in _walked_chain(a)
+            )
+            assert resolver.distance_row(a.index) == [
+                _walked_distance(a, b) for b in hosts
+            ]
+            for level in Level:
+                lo, hi = cloud.unit_range(level, a.index)
+                assert set(range(lo, hi)) == {
+                    b.index for b in hosts
+                    if _walked_distance(a, b) <= int(level)
+                }
+            for b in hosts:
+                dist = _walked_distance(a, b)
+                path = _walked_path(a, b)
+                assert cloud.distance(a.index, b.index) == dist
+                assert cloud.path(a.index, b.index) == path
+                assert cloud.hop_count(a.index, b.index) == len(path)
+                for level in Level:
+                    assert cloud.separated_at(a.index, b.index, level) == (
+                        dist > int(level)
+                    )
+        assert cloud.max_hop_count() == 2 * max(
+            len(_walked_chain(h)) for h in hosts
+        )
+        assert cloud.min_hops_for_distance(0) == 0
+        for dist in range(1, 5):
+            expected = _walked_min_hops(cloud, dist)
+            if expected is None:
+                with pytest.raises(DataCenterError, match=f"distance {dist}"):
+                    cloud.min_hops_for_distance(dist)
+            else:
+                assert cloud.min_hops_for_distance(dist) == expected
+        if kernel.HAVE_NUMPY:
+            self._assert_kernel_agrees(cloud)
+
+    @staticmethod
+    def _assert_kernel_agrees(cloud):
+        import numpy as np
+
+        arrays = kernel.CloudArrays.for_cloud(cloud)
+        for level in Level:
+            assert arrays.unit_ids[level].tolist() == list(cloud.unit_ids[level])
+            assert arrays.uplinks[level].tolist() == list(cloud.uplinks[level])
+            assert arrays.unit_starts[level].tolist() == list(
+                cloud.unit_starts[level]
+            )
+        everyone = np.arange(cloud.num_hosts)
+        for h in range(cloud.num_hosts):
+            chain = cloud.uplink_chain(h)
+            assert arrays.chain_len[h] == len(chain)
+            assert arrays.chain_matrix[h].tolist() == list(chain) + [-1] * (
+                arrays.chain_matrix.shape[1] - len(chain)
+            )
+            hops = [cloud.hop_count(g, h) for g in range(cloud.num_hosts)]
+            own, peer = arrays.steps_rows(h)
+            assert (own + peer).tolist() == arrays.hops_row(h).tolist() == hops
+            assert arrays.pair_hops(everyone, np.full_like(everyone, h)).tolist() == hops

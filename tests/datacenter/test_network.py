@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
+import pytest
+
+from repro.core import kernel
+from repro.core.scheduler import Ostro
+from repro.datacenter.builder import build_datacenter
 from repro.datacenter.network import (
     PathResolver,
     tally_flows,
     total_reserved_bandwidth,
 )
+from tests.conftest import make_three_tier
 
 
 class TestPathResolver:
@@ -25,6 +34,25 @@ class TestPathResolver:
         resolver = PathResolver(small_dc)
         assert resolver.hop_count(0, 1) == 2
         assert resolver.hop_count(0, 0) == 0
+
+
+class TestPerCloudCachesDieWithTheirCloud:
+    @pytest.mark.parametrize(
+        "kernel_name", ["python", "numpy"] if kernel.HAVE_NUMPY else ["python"]
+    )
+    def test_searched_clouds_are_collected(self, kernel_name):
+        """The shared resolver and the kernel's arrays are cached weakly by
+        cloud; a cached value referencing its cloud kept every searched
+        cloud (and its rows) alive forever."""
+        clouds = []
+        with kernel.use_kernel(kernel_name):
+            for _ in range(3):
+                cloud = build_datacenter(num_racks=2, hosts_per_rack=4)
+                Ostro(cloud).place(make_three_tier(), "eg")
+                clouds.append(weakref.ref(cloud))
+                del cloud
+        gc.collect()
+        assert [ref() for ref in clouds] == [None, None, None]
 
 
 class TestTallyFlows:
