@@ -8,7 +8,8 @@ partial path* -- every time the frontier's best evaluation rises, which
 tightens the bound as the search advances (Section III-B2). Paths whose
 evaluation meets or exceeds the current upper bound are pruned; when the
 frontier's best entry does so, the incumbent EG placement is optimal within
-the heuristic's guarantees and is returned.
+the heuristic's guarantees and is returned. EG is deterministic, so a
+re-run from a start an earlier EG run of the same search walked is skipped.
 
 Duplicate partial placements are dropped via a closed set keyed on a
 *canonical* form of the assignment set: nodes that are provably
@@ -24,7 +25,7 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.base import PlacementAlgorithm, PlacementResult, SearchStats
@@ -128,6 +129,12 @@ def node_equivalence_classes(topology: ApplicationTopology) -> Dict[str, int]:
     return class_of
 
 
+def _path_key(assigned: Iterable[tuple], remaining: Sequence[str]) -> tuple:
+    """Start of an EG run: its (node, host, disk) assignments and the nodes
+    it still has to place, in order. Equal keys walk equal trajectories."""
+    return frozenset(assigned), tuple(remaining)
+
+
 @dataclass
 class _SearchLimits:
     """Safety rails for the exponential search."""
@@ -163,7 +170,7 @@ class BAStar(PlacementAlgorithm):
         self.greedy_config = greedy_config or GreedyConfig()
         self.symmetry_reduction = symmetry_reduction
         self.limits = _SearchLimits(max_expansions=max_expansions)
-        # duration of the most recent EG bound re-run, fed to the
+        # duration of the most recent executed EG bound run, fed to the
         # deadline guard (_allow_bound_rerun)
         self._last_eg_duration = 0.0
 
@@ -264,9 +271,13 @@ class BAStar(PlacementAlgorithm):
         rec = obs.get_recorder()
         scorer = active_scorer()
         # Initial upper bound from a full EG run (Algorithm 2 line 3).
+        walked: set = set()  # starts of walked EG trajectories (_eg_continue)
+        started = time.perf_counter()
         best_partial, u_upper = self._eg_bound(
-            root, order, objective, bound_estimator, stats
+            root, order, objective, bound_estimator, stats, walked
         )
+        # seeds the deadline guard; a skipped re-run leaves it as it is
+        self._last_eg_duration = time.perf_counter() - started
         if rec.enabled and best_partial is not None:
             rec.event("bound_updated", bound=u_upper, source="eg_initial")
 
@@ -338,12 +349,17 @@ class BAStar(PlacementAlgorithm):
             rerun_ok = (
                 self.eg_rerun_policy == "on-advance" or depth > eg_rerun_depth
             ) and self._allow_bound_rerun(self._last_eg_duration)
+            # only the re-run of a walked start is skipped (see _eg_continue)
             if advanced and rerun_ok:
                 u_max = max(u_max, u_p)
                 eg_rerun_depth = max(eg_rerun_depth, depth)
+            if advanced and rerun_ok and _path_key(
+                partial_p.placement_key(), order[depth:]
+            ) not in walked:
                 rerun_started = time.perf_counter()
                 candidate = self._eg_continue(
-                    partial_p, order[depth:], objective, bound_estimator, stats
+                    partial_p, order[depth:], objective, bound_estimator,
+                    stats, walked,
                 )
                 self._last_eg_duration = (
                     time.perf_counter() - rerun_started
@@ -451,9 +467,10 @@ class BAStar(PlacementAlgorithm):
         objective: Objective,
         estimator: LowerBoundEstimator,
         stats: SearchStats,
+        walked: set,
     ) -> Tuple[Optional[PartialPlacement], float]:
         """Full EG run for the initial upper bound."""
-        candidate = self._eg_continue(root, order, objective, estimator, stats)
+        candidate = self._eg_continue(root, order, objective, estimator, stats, walked)
         if candidate is None:
             return None, float("inf")
         return candidate
@@ -465,14 +482,23 @@ class BAStar(PlacementAlgorithm):
         objective: Objective,
         estimator: LowerBoundEstimator,
         stats: SearchStats,
+        walked: set,
     ) -> Optional[Tuple[PartialPlacement, float]]:
         """Finish a partial placement greedily; None when EG gets stuck.
 
         A failed run is retried once with the remaining nodes in
         bandwidth-descending order (the restart strategy of
         :func:`repro.core.greedy.greedy_with_restarts`).
+
+        Adds this call's start to ``walked``, and when the first order
+        succeeds with no backjump every prefix of its trajectory too: EG
+        from a prefix walks the same tail. (A backjump spent budget a fresh
+        run would still have; the retry order assigns in a sequence no
+        search path shares, so its float state could differ.)
         """
         topology = partial.topology
+        start = partial.placement_key()
+        walked.add(_path_key(start, remaining))
         orders = [list(remaining)]
         bw_order = sorted(
             remaining,
@@ -489,6 +515,7 @@ class BAStar(PlacementAlgorithm):
             if rec.enabled:
                 rec.inc("ostro_eg_bound_runs_total")
             clone = partial.clone()
+            backtracks = stats.backtracks
             try:
                 run_greedy_from(
                     clone,
@@ -500,5 +527,11 @@ class BAStar(PlacementAlgorithm):
                 )
             except PlacementError:
                 continue
+            if order is orders[0] and stats.backtracks == backtracks:
+                placed = list(start)
+                for k, name in enumerate(order, 1):
+                    done = clone.assignments[name]
+                    placed.append((name, done.host, done.disk))
+                    walked.add(_path_key(placed, order[k:]))
             return clone, objective.score(clone.ubw, clone.uc)
         return None

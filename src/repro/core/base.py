@@ -32,9 +32,13 @@ class SearchStats:
             lower-bound evaluation.
         paths_expanded: A* paths popped and expanded (0 for greedy).
         paths_pruned: A* paths discarded by bounding or deadline pruning.
-        eg_bound_runs: how many times the EG upper bound was (re)computed.
+        eg_bound_runs: EG upper-bound runs executed by BA*/DBA* (the
+            initial run, re-runs and their retries); a re-run from a start
+            an earlier run of the search already walked is skipped and not
+            counted.
         backtracks: greedy dead-end recoveries (see
-            ``GreedyConfig.max_backtracks``).
+            ``GreedyConfig.max_backtracks``), summed over every greedy run
+            of the search.
         deadline_hit: True when a deadline-bounded search ran out of time
             and returned its best-so-far placement.
     """

@@ -460,7 +460,7 @@ def backtracking_place(
                 )
             level = target_level
             backtracks += 1
-            stats.backtracks = backtracks
+            stats.backtracks += 1
             continue
         partial.assign(node_name, target.host, target.disk)
         if rec.enabled:

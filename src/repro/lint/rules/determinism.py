@@ -1,8 +1,8 @@
 """Determinism rules: OST001 unseeded RNG, OST002 wall-clock reads.
 
 Every placement run must be reproducible from an explicit seed: the
-paper's figure comparisons, the replay harness, and the bench-smoke
-fingerprint gate all diff placements across runs. A module-level
+paper's figure comparisons, the replay harness, and the
+``repro bench --check`` fingerprint gate all diff placements across runs. A module-level
 ``random.*`` call draws from interpreter-global state and silently breaks
 that; wall-clock reads make search decisions depend on machine speed.
 The only legitimate clock sites are the explicitly allowlisted timing

@@ -125,6 +125,37 @@ class TestBacktrackingPlace:
         assert 1 <= len(pulled) <= lazy_stats.backtracks
 
 
+class TestBacktracksAccumulate:
+    def test_restart_cascade_reports_the_sum(self, small_dc):
+        """Both strategies backjump once on the drained-NIC trap: the first
+        then exhausts its one-jump budget, the second succeeds. The search
+        made two jumps and reports two."""
+        from repro.core.greedy import greedy_with_restarts
+        from repro.core.heuristic import LowerBoundEstimator
+        from repro.core.objective import Objective
+
+        topo, partial = TestBacktrackingPlace()._setup(small_dc)
+
+        def lowest_host_first(_partial):
+            return lambda target: target.host
+
+        stats = SearchStats()
+        placed = greedy_with_restarts(
+            topo, partial.state, partial.resolver,
+            Objective.for_topology(topo, small_dc),
+            LowerBoundEstimator(small_dc),
+            GreedyConfig(dedup=False, max_full_candidates=1, max_backtracks=1),
+            stats, {},
+            strategies=[
+                (["a", "b", "c"], lowest_host_first),
+                (["a", "c", "b"], lowest_host_first),
+            ],
+        )
+        assert len(placed.assignments) == 3
+        assert stats.restarts == 1
+        assert stats.backtracks == 2
+
+
 class TestNicAwareDeadEndAvoidance:
     """The Table-IV scenario that used to strand tier-1 nodes."""
 

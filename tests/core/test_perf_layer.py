@@ -127,6 +127,7 @@ class TestEgBoundRunCounting:
                 Objective.for_topology(three_tier, small_dc),
                 estimator,
                 stats,
+                set(),
             )
         assert len(calls) == 2  # weight order failed, bandwidth order ran
         assert stats.eg_bound_runs == 2
@@ -144,6 +145,7 @@ class TestEgBoundRunCounting:
             Objective.for_topology(three_tier, small_dc),
             estimator,
             stats,
+            set(),
         )
         assert outcome is not None
         assert stats.eg_bound_runs == 1
